@@ -47,6 +47,7 @@ from .newton_polygon import (
     predict_ring_counts,
     reduced_polynomial,
     solve_leading_coefficients,
+    unfolding_charpoly,
 )
 from .spectra import (
     Classification,

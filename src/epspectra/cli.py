@@ -17,13 +17,8 @@ import numpy as np
 
 from . import acceptance, ep_locator, newton_polygon, spectra
 from ._roots import RootFindingError
-from .exact_poly import faddeev_leverrier, parse_exact_decimal, rat
-from .operators import (
-    ModelParams,
-    UsageError,
-    build_generalized_hamiltonian,
-    build_rotated_hamiltonian,
-)
+from .exact_poly import charpoly_of_tridiagonal, parse_exact_decimal, rat
+from .operators import ModelParams, UsageError, build_generalized_hamiltonian
 
 __all__ = ["main"]
 
@@ -251,42 +246,26 @@ def cmd_charpoly(args) -> int:
     params = ModelParams(
         particles=args.particles, gamma=gamma, v=v, c=c, pert_power=args.pert_power
     )
-    H = build_generalized_hamiltonian(params, "monomial")
-    cp = faddeev_leverrier(H)
-    lines = []
-    lines.append(
+    # tridiagonal in the monomial basis for every perturbation power
+    cp = charpoly_of_tridiagonal(build_generalized_hamiltonian(params, "monomial"))
+    lines = [
         f"# characteristic polynomial, N={args.particles}, gamma={gamma}, v={v}, "
-        + ("c symbolic" if c is None else f"c={c}")
-    )
-    lines.append("# paper normalization: chi(lambda) = -sum_k p[M-k] lambda^k, p[0] = -1")
-    for k, p in enumerate(cp.paper_coeffs):
-        lines.append(f"p[{k}] = {p.render(cp.param or 'c')}")
-    lines.append("# monic normalization: det(lambda I - H), coefficient of each lambda power")
-    monic = cp.monic_coefficients()
-    for j in range(cp.dim, -1, -1):
-        lines.append(f"lambda^{j}: {monic[j].render(cp.param or 'c')}")
+        + ("c symbolic" if c is None else f"c={c}"),
+        "# paper normalization: chi(lambda) = -sum_k p[M-k] lambda^k, p[0] = -1",
+        *cp.render_paper(),
+        "# monic normalization: det(lambda I - H), coefficient of each lambda power",
+        *cp.render_monic(),
+    ]
     _write(args.output, "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_newton(args) -> int:
     k = 1 if args.pert == "delta" else args.pert_power
-    params = ModelParams(
-        particles=args.particles, gamma=_exact(args.v), v=_exact(args.v), c=None, pert_power=k
-    )
-    H = build_rotated_hamiltonian(params)
-    cp = faddeev_leverrier(H)
+    cp = newton_polygon.unfolding_charpoly(args.particles, k, _exact(args.v))
     analysis = newton_polygon.analyze_unfolding(cp)
     pred = newton_polygon.predict_ring_counts(args.particles, k)
-    observed = {}
-    seen = set()
-    for b in analysis.branches:
-        key = (b.mu, b.ring_id)
-        if key not in seen:
-            seen.add(key)
-            observed[b.ring_size] = observed.get(b.ring_size, 0) + 1
-    if analysis.zero_branch_count:
-        observed[1] = observed.get(1, 0) + analysis.zero_branch_count
+    observed = analysis.ring_size_counts()
     if args.format == "json":
         doc = {
             "N": args.particles,

@@ -3,15 +3,24 @@
 Everything here is exact: rationals are arbitrary precision, complex
 rationals keep real and imaginary parts separate, and polynomials in the
 formal perturbation parameter store a sparse exponent -> coefficient map.
-The characteristic polynomial of an exact operator matrix is obtained with
-the Le Verrier-Faddeev trace recursion
+Characteristic polynomials are written in the paper's normalization
 
-    p_0 = -1,   p_k = -(1/k) * sum_{j=1..k} s_j p_{k-j},   s_k = tr(M^k),
+    chi(lambda) = -sum_k p_{M-k} lambda^k,   p_0 = -1,
 
-which yields the coefficients of  chi(lambda) = -sum_k p_{M-k} lambda^k.
-The equivalent monic convention det(lambda I - M) has lambda^{M-k}
-coefficient equal to -p_k; both are exposed because sign mistakes between
-the two forms are easy to make and painful to debug.
+and in the monic convention det(lambda I - M), whose lambda^{M-k}
+coefficient is -p_k; both are exposed because sign mistakes between the
+two forms are easy to make and painful to debug.
+
+The production route is the O(M^2) determinant continuant on a tridiagonal
+matrix (``charpoly_of_tridiagonal``); the model Hamiltonian is tridiagonal
+in the monomial basis for every perturbation power. The Le Verrier-Faddeev
+trace recursion
+
+    p_k = -(1/k) * sum_{j=1..k} s_j p_{k-j},   s_k = tr(M^k),
+
+costs M exact matrix products and is kept for the paper's own construction
+(the rotated Hessenberg form at gamma = v, checked against the printed N=5
+coefficients) and as the test oracle for the continuant.
 """
 
 from __future__ import annotations
@@ -166,6 +175,17 @@ GR_ZERO = GaussianRational()
 GR_ONE = GaussianRational(1)
 
 
+def _power(g: GaussianRational, n: int) -> GaussianRational:
+    """g**n for n >= 0 by binary powering."""
+    pw = GR_ONE
+    while n:
+        if n & 1:
+            pw = pw * g
+        g = g * g
+        n >>= 1
+    return pw
+
+
 class ParamPoly:
     """Sparse univariate polynomial in the formal perturbation parameter.
 
@@ -276,18 +296,7 @@ class ParamPoly:
         g = value if isinstance(value, GaussianRational) else GaussianRational(value)
         acc = GR_ZERO
         for e, c in self.coeffs.items():
-            term = c
-            if e:
-                pw = GR_ONE
-                base = g
-                n = e
-                while n:  # binary powering
-                    if n & 1:
-                        pw = pw * base
-                    base = base * base
-                    n >>= 1
-                term = c * pw
-            acc = acc + term
+            acc = acc + (c * _power(g, e) if e else c)
         return acc
 
     def __complex__(self):
@@ -338,6 +347,25 @@ class CharPoly:
         p0 = self.paper_coeffs[0]
         if p0 != ParamPoly.const(GaussianRational(-1)):
             raise ValueError("paper normalization requires p_0 = -1")
+
+    @classmethod
+    def from_paper_coeffs(cls, paper_coeffs, param="c") -> "CharPoly":
+        """CharPoly whose traces are filled in by Newton's identities."""
+        cp = cls(dim=len(paper_coeffs) - 1, paper_coeffs=paper_coeffs,
+                 traces=[None] * len(paper_coeffs), param=param)
+        cp.traces = cp.newton_identity_traces()
+        return cp
+
+    def rescaled(self, g, param=None) -> "CharPoly":
+        """The same polynomial in a new parameter t, where old parameter = g * t.
+
+        The t^e coefficient of every p_k is the old c^e coefficient times
+        g^e; ``param`` renames the parameter.
+        """
+        g = g if isinstance(g, GaussianRational) else GaussianRational(g)
+        p = [ParamPoly({e: c * _power(g, e) for e, c in q.coeffs.items()})
+             for q in self.paper_coeffs]
+        return CharPoly.from_paper_coeffs(p, param or self.param)
 
     def monic_coefficients(self):
         """Coefficients of det(lambda I - M), ascending in lambda power."""
@@ -415,8 +443,8 @@ def charpoly_of_tridiagonal(matrix) -> CharPoly:
     """Characteristic polynomial of an exact tridiagonal matrix.
 
     Uses the determinant continuant D_j = (lambda - a_j) D_{j-1} -
-    b_{j-1} c_{j-1} D_{j-2}, which is much cheaper than the trace recursion
-    for parameter-free tridiagonal matrices. Traces are filled in through
+    b_{j-1} c_{j-1} D_{j-2}: O(M^2) parameter-polynomial products against
+    the O(M^4) of the trace recursion. Traces are filled in through
     Newton's identities so the cache stays consistent with the
     Faddeev-LeVerrier convention (the two routes are cross-checked in the
     test suite).
@@ -445,9 +473,7 @@ def charpoly_of_tridiagonal(matrix) -> CharPoly:
         d_prev, d_cur = d_cur, nxt
     # d_cur[j] is the monic lambda^j coefficient; p_k = -monic[M-k]
     p = [-d_cur[M - k] for k in range(M + 1)]
-    partial = CharPoly(dim=M, paper_coeffs=p, traces=[None] * (M + 1), param=matrix.param or "c")
-    partial.traces = partial.newton_identity_traces()
-    return partial
+    return CharPoly.from_paper_coeffs(p, matrix.param or "c")
 
 
 def lowest_power(p: ParamPoly):
@@ -479,7 +505,8 @@ def verify_trace_structure(charpoly: CharPoly) -> TraceStructureReport:
     """Assert the k - 2j exponent law on every s_k and p_k.
 
     A violation signals an arithmetic bug in the exact pipeline, so it is a
-    hard assertion failure, not a soft report.
+    hard AssertionError, not a soft report; it is raised explicitly so the
+    check also runs under ``python -O``.
     """
     report = TraceStructureReport(dim=charpoly.dim)
 
@@ -487,10 +514,11 @@ def verify_trace_structure(charpoly: CharPoly) -> TraceStructureReport:
         terms = []
         allowed = {k - 2 * j: j for j in range(k // 3 + 1) if k - 2 * j >= 0}
         for e, coeff in sorted(poly.coeffs.items()):
-            assert e in allowed, (
-                f"{label}_{k} contains parameter power {e}; "
-                f"allowed powers are {sorted(allowed)}"
-            )
+            if e not in allowed:
+                raise AssertionError(
+                    f"{label}_{k} contains parameter power {e}; "
+                    f"allowed powers are {sorted(allowed)}"
+                )
             terms.append((allowed[e], coeff))
         return terms
 

@@ -17,12 +17,14 @@ model's triplets are the k = 2 case of this law.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._roots import polynomial_roots
-from .exact_poly import CharPoly, GaussianRational, ParamPoly, Rational
+from .exact_poly import CharPoly, GaussianRational, ParamPoly, Rational, charpoly_of_tridiagonal
+from .operators import ModelParams, build_generalized_hamiltonian
 
 __all__ = [
     "DiagramPoint",
@@ -37,6 +39,7 @@ __all__ = [
     "solve_leading_coefficients",
     "group_rings",
     "predict_ring_counts",
+    "unfolding_charpoly",
     "analyze_unfolding",
 ]
 
@@ -250,6 +253,20 @@ def predict_ring_counts(N: int, k: int) -> RingPrediction:
     return RingPrediction(ring_count=p, ring_size=k + 1, remainder=(N + 1) - p * (k + 1))
 
 
+def unfolding_charpoly(N: int, k: int = 2, v=1) -> CharPoly:
+    """Exact characteristic polynomial of the order-(N+1) EP's unfolding.
+
+    At gamma = v the model H = -2i v L_z + 2 v L_x + 2c L_z^k, with c
+    formal, is tridiagonal in the monomial basis, so the continuant gives
+    its polynomial; it equals that of the rotated Hessenberg form H~ (a
+    similarity). For k = 1 the parameter is Delta = gamma - v instead:
+    -2i Delta L_z = 2c L_z at c = -i Delta.
+    """
+    params = ModelParams(particles=N, gamma=v, v=v, c=None, pert_power=k)
+    cp = charpoly_of_tridiagonal(build_generalized_hamiltonian(params, "monomial"))
+    return cp.rescaled(GaussianRational(0, -1), "Delta") if k == 1 else cp
+
+
 @dataclass
 class UnfoldingAnalysis:
     """Full Newton-diagram unfolding of one characteristic polynomial."""
@@ -262,17 +279,12 @@ class UnfoldingAnalysis:
     zero_branch_count: int
     dim: int
 
-    def ring_sizes(self) -> list:
-        """Ring sizes including identically-zero branches as singles."""
-        sizes = []
-        seen = set()
-        for b in self.branches:
-            key = (b.mu, b.ring_id)
-            if key not in seen:
-                seen.add(key)
-                sizes.append(b.ring_size)
-        sizes.extend([1] * self.zero_branch_count)
-        return sorted(sizes)
+    def ring_size_counts(self) -> dict:
+        """{ring size: number of rings}, identically-zero branches counted as singles."""
+        counts = Counter({(b.mu, b.ring_id): b.ring_size for b in self.branches}.values())
+        if self.zero_branch_count:
+            counts[1] += self.zero_branch_count
+        return dict(counts)
 
     def branch_count(self) -> int:
         return len(self.branches) + self.zero_branch_count

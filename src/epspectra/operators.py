@@ -360,7 +360,7 @@ def build_generalized_hamiltonian(params: ModelParams, basis: str = "orthonormal
     return H
 
 
-def build_rotated_hamiltonian(params: ModelParams, pert_coefficient=None) -> OperatorMatrix:
+def build_rotated_hamiltonian(params: ModelParams) -> OperatorMatrix:
     """Rotated Hamiltonian at the EP locus gamma = v, exact monomial basis.
 
     For pert_power k >= 2 the rotation of H = 2v(L_x - i L_z) + 2c L_z^k
@@ -369,10 +369,10 @@ def build_rotated_hamiltonian(params: ModelParams, pert_coefficient=None) -> Ope
     Delta = gamma - v and H~ = 2 v L_- - Delta (L_+ - L_-).
 
     The perturbation term occupies offsets -k..k of matching parity plus the
-    tunneling superdiagonal, an upper (k+1)-Hessenberg matrix. The formal
-    parameter stays symbolic; ``pert_coefficient`` overrides the exact
-    scalar multiplying (L_+ - L_-)^k (used to reproduce alternative
-    normalizations of the same unfolding).
+    tunneling superdiagonal, an upper (k+1)-Hessenberg matrix; the formal
+    parameter stays symbolic. This is the paper's construction; the
+    production route to its characteristic polynomial is the tridiagonal
+    H (``newton_polygon.unfolding_charpoly``).
     """
     rep = params.rep
     k = params.pert_power
@@ -381,24 +381,17 @@ def build_rotated_hamiltonian(params: ModelParams, pert_coefficient=None) -> Ope
     lp = build_ladder(rep, "plus", "monomial")
     diff = lp.add(lm.scale(GaussianRational(-1)))
     pert = diff.power(k)
-    if pert_coefficient is None:
-        if k == 1:
-            coeff = GaussianRational(-1)
-        else:
-            # 2 * (-i/2)^k, with (-i)^k cycling 1, -i, -1, i
-            unit = [
-                GaussianRational(1),
-                GaussianRational(0, -1),
-                GaussianRational(-1),
-                GaussianRational(0, 1),
-            ][k % 4]
-            coeff = unit.scale(Rational(2) / Rational(2) ** k)
+    if k == 1:
+        coeff = GaussianRational(-1)
     else:
-        coeff = (
-            pert_coefficient
-            if isinstance(pert_coefficient, GaussianRational)
-            else GaussianRational(rat(pert_coefficient))
-        )
+        # 2 * (-i/2)^k, with (-i)^k cycling 1, -i, -1, i
+        unit = [
+            GaussianRational(1),
+            GaussianRational(0, -1),
+            GaussianRational(-1),
+            GaussianRational(0, 1),
+        ][k % 4]
+        coeff = unit.scale(Rational(2) / Rational(2) ** k)
     H = lm.scale(GaussianRational(2 * v)).add(pert.scale(coeff).shift_param(1))
     H.param = "Delta" if k == 1 else "c"
     return H

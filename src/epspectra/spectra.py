@@ -13,14 +13,13 @@ exact coefficients do not). Each serves as the other's oracle in the tests.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from ._roots import polynomial_roots
-from .exact_poly import charpoly_of_tridiagonal, faddeev_leverrier
+from .exact_poly import charpoly_of_tridiagonal
 from .operators import ModelParams, OperatorMatrix, build_generalized_hamiltonian
 
 __all__ = [
@@ -58,9 +57,9 @@ def eigenvalues(matrix, context: str = "") -> np.ndarray:
     """All eigenvalues, deterministically ordered by (Re, Im).
 
     Floating matrices go through the dense LAPACK solver. Exact
-    parameter-free matrices go through the exact characteristic polynomial
-    and polished companion roots, which is the accurate route at and near
-    exceptional points.
+    parameter-free tridiagonal matrices go through the exact characteristic
+    polynomial and polished companion roots, which is the accurate route at
+    and near exceptional points.
     """
     if isinstance(matrix, OperatorMatrix) and matrix.entry_kind == "exact":
         return exact_spectrum(matrix, context=context)
@@ -83,15 +82,11 @@ def eigenvalues_from_charpoly(charpoly, value=0) -> np.ndarray:
 
 
 def exact_spectrum(matrix: OperatorMatrix, value=None, context: str = "") -> np.ndarray:
-    """Eigenvalues of an exact matrix via its exact characteristic polynomial."""
+    """Eigenvalues of an exact tridiagonal matrix via its characteristic polynomial."""
     if matrix.entry_kind != "exact":
         raise TypeError("exact_spectrum needs an exact matrix")
     work = matrix if value is None else matrix.substitute(value)
-    if work.is_tridiagonal():
-        cp = charpoly_of_tridiagonal(work)
-    else:
-        cp = faddeev_leverrier(work)
-    return eigenvalues_from_charpoly(cp, 0)
+    return eigenvalues_from_charpoly(charpoly_of_tridiagonal(work), 0)
 
 
 def analytic_c0_spectrum(params: ModelParams) -> np.ndarray:
@@ -147,21 +142,10 @@ def _spectrum_at(params: ModelParams) -> Spectrum:
 
 
 def sweep(params: ModelParams, vary: str, grid) -> list:
-    """One Spectrum per grid point of gamma or c; points are independent.
-
-    EPSPECTRA_THREADS > 1 evaluates grid points concurrently; assembly is
-    ordered, so results are identical at any thread count.
-    """
+    """One Spectrum per grid point of gamma or c; points are independent."""
     if vary not in ("gamma", "c"):
         raise ValueError("vary must be 'gamma' or 'c'")
-    pts = [replace(params, **{vary: float(x)}) for x in grid]
-    threads = int(os.environ.get("EPSPECTRA_THREADS", "1") or "1")
-    if threads > 1 and len(pts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_spectrum_at, pts))
-    return [_spectrum_at(p) for p in pts]
+    return [_spectrum_at(replace(params, **{vary: float(x)})) for x in grid]
 
 
 def optimal_match_distance(a, b) -> float:

@@ -1,8 +1,13 @@
 """Exact arithmetic, parameter polynomials, and characteristic polynomials."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import epspectra
 from epspectra.exact_poly import (
     GaussianRational,
     ParamPoly,
@@ -15,10 +20,12 @@ from epspectra.exact_poly import (
     realness_check,
     verify_trace_structure,
 )
+from epspectra.newton_polygon import analyze_unfolding, unfolding_charpoly
 from epspectra.operators import (
     ModelParams,
     build_cartesian,
     build_hamiltonian,
+    build_ladder,
     build_rotated_hamiltonian,
 )
 from epspectra import spectra
@@ -165,27 +172,79 @@ class TestFaddeevLeVerrier:
             charpoly_of_tridiagonal(H)
 
 
+def assert_same_charpoly(a, b):
+    assert a.param == b.param
+    assert a.paper_coeffs == b.paper_coeffs
+    assert a.traces == b.traces
+
+
+class TestUnfoldingCharpoly:
+    """The continuant on the tridiagonal H against Faddeev-LeVerrier on H~."""
+
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_matches_rotated_faddeev(self, N):
+        for k in range(1, N + 1):
+            assert_same_charpoly(unfolding_charpoly(N, k), rotated_charpoly(N, k))
+
+    def test_matches_rotated_faddeev_n10(self):
+        assert_same_charpoly(unfolding_charpoly(10, 2), rotated_charpoly(10, 2))
+
+    @pytest.mark.parametrize("v", [rat("3/2"), rat("-2/7")])
+    def test_matches_rotated_faddeev_other_v(self, v):
+        for N in (1, 3, 5):
+            for k in (1, 2, 3):
+                assert_same_charpoly(unfolding_charpoly(N, k, v), rotated_charpoly(N, k, v))
+
+    def test_rescale_gives_the_doubled_perturbation(self):
+        # H~ with -c (L+-L-)^2 is the physical -c/2 (L+-L-)^2 at 2c
+        rep = ModelParams(particles=6).rep
+        lp = build_ladder(rep, "plus", "monomial")
+        lm = build_ladder(rep, "minus", "monomial")
+        pert = lp.add(lm.scale(gr(-1))).power(2).scale(gr(-1)).shift_param(1)
+        H = lm.scale(gr(2)).add(pert)
+        H.param = "c"
+        assert_same_charpoly(unfolding_charpoly(6).rescaled(2), faddeev_leverrier(H))
+
+
 class TestTraceStructure:
     def test_allowed_exponent_sets(self):
         # N large enough that no coefficient degenerates
-        cp = rotated_charpoly(10)
+        cp = unfolding_charpoly(10)
         expected = {1: {1}, 2: {2}, 3: {1, 3}, 4: {2, 4}, 5: {3, 5}, 6: {2, 4, 6}}
         for k, exps in expected.items():
             assert set(cp.paper_coeffs[k].coeffs) == exps
             assert set(cp.traces[k].coeffs) == exps
 
     def test_report_contents(self):
-        cp = rotated_charpoly(6)
+        cp = unfolding_charpoly(6)
         report = verify_trace_structure(cp)
         assert set(report.coeff_terms) == set(range(1, 8))
         # k=6 carries j = 0, 1, 2
         assert [j for j, _ in report.coeff_terms[6]] == [2, 1, 0]
 
     def test_structure_violation_asserts(self):
-        cp = rotated_charpoly(4)
+        cp = unfolding_charpoly(4)
         cp.paper_coeffs[2] = poly((1, 1))  # inject an illegal c^1 term into p_2
         with pytest.raises(AssertionError):
             verify_trace_structure(cp)
+
+    def test_structure_violation_raises_under_optimize(self):
+        script = (
+            "from epspectra.exact_poly import GaussianRational, ParamPoly, verify_trace_structure\n"
+            "from epspectra.newton_polygon import unfolding_charpoly\n"
+            "cp = unfolding_charpoly(4)\n"
+            "cp.paper_coeffs[2] = ParamPoly.monomial(1, GaussianRational(1))\n"
+            "try:\n"
+            "    verify_trace_structure(cp)\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(epspectra.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert "p_2 contains parameter power 1" in out.stdout, out.stderr
 
 
 class TestRealness:
@@ -238,15 +297,9 @@ class TestExactRootConsistency:
                 assert abs(complex(chi)) <= bound
 
     def test_delta_variant_hull_slopes(self):
-        # k=1 rotated model in Delta: every hull slope is -1/2
-        from epspectra.newton_polygon import analyze_unfolding
-
+        # k=1 unfolding in Delta: every hull slope is -1/2
         for N in (4, 5, 8):
-            cp = faddeev_leverrier(
-                build_rotated_hamiltonian(
-                    ModelParams(particles=N, gamma=1, v=1, c=None, pert_power=1)
-                )
-            )
+            cp = unfolding_charpoly(N, 1)
             assert cp.param == "Delta"
             analysis = analyze_unfolding(cp)
             assert all(seg.mu == Rational(1) / 2 for seg in analysis.segments)

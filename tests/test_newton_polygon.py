@@ -9,7 +9,7 @@ from epspectra.exact_poly import (
     GaussianRational,
     ParamPoly,
     Rational,
-    faddeev_leverrier,
+    charpoly_of_tridiagonal,
     rat,
 )
 from epspectra.newton_polygon import (
@@ -23,8 +23,9 @@ from epspectra.newton_polygon import (
     predict_ring_counts,
     reduced_polynomial,
     solve_leading_coefficients,
+    unfolding_charpoly,
 )
-from epspectra.operators import ModelParams, build_rotated_hamiltonian
+from epspectra.operators import ModelParams, build_generalized_hamiltonian
 from epspectra import spectra
 
 
@@ -32,10 +33,10 @@ def gr(re, im=0):
     return GaussianRational(rat(re), rat(im))
 
 
-def rotated_charpoly(N, k=2, pert_coefficient=None):
-    params = ModelParams(particles=N, gamma=1, v=1, c=None, pert_power=k)
-    H = build_rotated_hamiltonian(params, pert_coefficient=pert_coefficient)
-    return faddeev_leverrier(H)
+def printed_n10_charpoly():
+    # the perturbation -c (L+-L-)^2 of the printed N=10 quadratic is the
+    # physical -c/2 (L+-L-)^2 at 2c
+    return unfolding_charpoly(10).rescaled(2)
 
 
 def point(k, a, f=1):
@@ -44,13 +45,13 @@ def point(k, a, f=1):
 
 class TestDiagramPoints:
     def test_n5_points(self):
-        pts = build_points(rotated_charpoly(5))
+        pts = build_points(unfolding_charpoly(5))
         assert sorted(p.xy for p in pts) == [
             (0, 2), (1, 3), (2, 2), (3, 1), (4, 2), (5, 1), (6, 0),
         ]
 
     def test_n10_hull_passes_derived_points(self):
-        pts = build_points(rotated_charpoly(10))
+        pts = build_points(unfolding_charpoly(10))
         segs = lower_hull(pts)
         assert len(segs) == 2
         steep, shallow = segs
@@ -60,9 +61,8 @@ class TestDiagramPoints:
 
     def test_degenerate_charpoly_no_unfolding(self):
         # c fixed to zero: chi = lambda^(N+1), a single diagram point
-        params = ModelParams(particles=6, gamma=1, v=1, c=None)
-        H = build_rotated_hamiltonian(params).substitute(0)
-        cp = faddeev_leverrier(H)
+        params = ModelParams(particles=6, gamma=1, v=1, c=0)
+        cp = charpoly_of_tridiagonal(build_generalized_hamiltonian(params, "monomial"))
         analysis = analyze_unfolding(cp)
         assert [p.xy for p in analysis.points] == [(7, 0)]
         assert analysis.segments == []
@@ -84,7 +84,7 @@ class TestLowerHull:
         assert [p.xy for p in segs[0].points] == [(0, 2), (3, 1), (6, 0)]
 
     def test_slopes_increase(self):
-        pts = build_points(rotated_charpoly(10))
+        pts = build_points(unfolding_charpoly(10))
         segs = lower_hull(pts)
         slopes = [s.slope for s in segs]
         assert slopes == sorted(slopes)
@@ -93,7 +93,7 @@ class TestLowerHull:
 
 class TestReducedPolynomials:
     def test_n5_reduced(self):
-        cp = rotated_charpoly(5)
+        cp = unfolding_charpoly(5)
         seg = lower_hull(build_points(cp))[0]
         red = reduced_polynomial(seg)
         expected = (
@@ -110,12 +110,12 @@ class TestReducedPolynomials:
         # -2^(-a_k) relative to it (c -> 2c shifts each lowest power a_k).
         paper = {0: Rational(-33581039616000), 1: Rational(2410418995200),
                  2: Rational(-46423756800)}
-        cp2 = rotated_charpoly(10, pert_coefficient=-1)
+        cp2 = printed_n10_charpoly()
         seg = [s for s in lower_hull(build_points(cp2)) if s.mu == 1][0]
         red = reduced_polynomial(seg)
         for (i, j) in ((0, 1), (1, 2)):
             assert red.coeffs[i].re * paper[j] == red.coeffs[j].re * paper[i]
-        cp1 = rotated_charpoly(10)
+        cp1 = unfolding_charpoly(10)
         seg1 = [s for s in lower_hull(build_points(cp1)) if s.mu == 1][0]
         red1 = reduced_polynomial(seg1)
         a = {p.k: p.a for p in seg1.points}
@@ -135,7 +135,7 @@ class TestReducedPolynomials:
 
 class TestLeadingCoefficients:
     def test_n5_cube_roots(self):
-        cp = rotated_charpoly(5)
+        cp = unfolding_charpoly(5)
         analysis = analyze_unfolding(cp)
         cubes = sorted({round(float((b.e1**3).real), 4) for b in analysis.branches})
         # quadratic formula on u^2 + 448 u + 6400, the independent oracle
@@ -156,7 +156,7 @@ class TestLeadingCoefficients:
         assert np.all(roots != 0)
 
     def test_n10_radical(self):
-        cp2 = rotated_charpoly(10, pert_coefficient=-1)
+        cp2 = printed_n10_charpoly()
         analysis = analyze_unfolding(cp2)
         lin = sorted(
             (b.e1 for b in analysis.branches if b.mu == 1.0), key=lambda z: z.imag
@@ -169,9 +169,8 @@ class TestLeadingCoefficients:
 
 class TestRings:
     def test_n5_two_triplets(self):
-        analysis = analyze_unfolding(rotated_charpoly(5))
-        sizes = analysis.ring_sizes()
-        assert sizes == [3, 3]
+        analysis = analyze_unfolding(unfolding_charpoly(5))
+        assert analysis.ring_size_counts() == {3: 2}
         radii = sorted({round(float(abs(b.e1)), 3) for b in analysis.branches})
         assert radii == pytest.approx(
             [round(14.772851 ** (1 / 3), 3), round(433.227149 ** (1 / 3), 3)], abs=1e-3
@@ -188,9 +187,8 @@ class TestRings:
             )
 
     def test_n10_three_triplets_and_two_singles(self):
-        analysis = analyze_unfolding(rotated_charpoly(10))
-        sizes = analysis.ring_sizes()
-        assert sizes == [1, 1, 3, 3, 3]
+        analysis = analyze_unfolding(unfolding_charpoly(10))
+        assert analysis.ring_size_counts() == {1: 2, 3: 3}
         singles = [b for b in analysis.branches if b.ring_size == 1]
         # the two linear branches are a conjugate pair of equal modulus but
         # non-ring phases, split apart and flagged irregular
@@ -198,11 +196,11 @@ class TestRings:
         assert all(b.mu == 1.0 for b in singles)
 
     def test_n4_k3_and_k4(self):
-        a3 = analyze_unfolding(rotated_charpoly(4, k=3))
-        assert a3.ring_sizes() == [1, 4]
+        a3 = analyze_unfolding(unfolding_charpoly(4, k=3))
+        assert a3.ring_size_counts() == {1: 1, 4: 1}
         assert a3.zero_branch_count == 1
-        a4 = analyze_unfolding(rotated_charpoly(4, k=4))
-        assert a4.ring_sizes() == [5]
+        a4 = analyze_unfolding(unfolding_charpoly(4, k=4))
+        assert a4.ring_size_counts() == {5: 1}
 
     def test_group_rings_regular_and_irregular(self):
         ring = [2 * np.exp(2j * np.pi * k / 5) for k in range(5)]
@@ -233,27 +231,24 @@ class TestRingLaw:
     @pytest.mark.parametrize("N", [2, 4, 6, 8])
     def test_agreement_small(self, N):
         for k in range(1, N + 1):
-            analysis = analyze_unfolding(rotated_charpoly(N, k=k))
+            analysis = analyze_unfolding(unfolding_charpoly(N, k=k))
             pred = predict_ring_counts(N, k)
-            sizes = analysis.ring_sizes()
-            assert sizes.count(pred.ring_size) >= pred.ring_count
-            big = [s for s in sizes if s == pred.ring_size][: pred.ring_count]
-            rest = sorted(sizes)
-            for s in big:
-                rest.remove(s)
-            assert sum(rest) == pred.remainder
-            assert all(s <= pred.ring_size for s in rest)
+            sizes = analysis.ring_size_counts()
+            assert sizes.get(pred.ring_size, 0) >= pred.ring_count
+            total = sum(s * n for s, n in sizes.items())
+            assert total - pred.ring_count * pred.ring_size == pred.remainder
+            assert all(s <= pred.ring_size for s in sizes)
 
     def test_branch_accounting(self):
         for N, k in ((5, 2), (10, 2), (6, 3), (12, 4)):
-            analysis = analyze_unfolding(rotated_charpoly(N, k=k))
+            analysis = analyze_unfolding(unfolding_charpoly(N, k=k))
             assert analysis.branch_count() == N + 1
 
 
 class TestNumericalAgreement:
     @pytest.mark.parametrize("N", [5, 8, 10, 12])
     def test_eigenvalues_match_leading_order(self, N):
-        cp = rotated_charpoly(N)
+        cp = unfolding_charpoly(N)
         analysis = analyze_unfolding(cp)
         for cval in (rat("1e-4") / N, rat("1e-5") / N):
             ev = spectra.eigenvalues_from_charpoly(cp, cval)
@@ -275,7 +270,7 @@ class TestNumericalAgreement:
     def test_exponent_fit(self):
         # log-log regression of a triplet branch modulus against c
         N = 7
-        cp = rotated_charpoly(N)
+        cp = unfolding_charpoly(N)
         cs = [Rational(1, 10**6) * 2**j for j in range(8)]
         biggest = [float(np.abs(spectra.eigenvalues_from_charpoly(cp, c)).max()) for c in cs]
         slope = np.polyfit(np.log([float(c) for c in cs]), np.log(biggest), 1)[0]
@@ -284,13 +279,8 @@ class TestNumericalAgreement:
     def test_delta_variant_pair_moduli(self):
         # Ev_lin: lambda = n sqrt(v^2 - gamma^2) ~ n sqrt(2v) (-Delta)^(1/2),
         # so the k=1 unfolding rings are pairs with moduli n sqrt(2v)
-        cp = faddeev_leverrier(
-            build_rotated_hamiltonian(
-                ModelParams(particles=5, gamma=1, v=1, c=None, pert_power=1)
-            )
-        )
-        analysis = analyze_unfolding(cp)
-        assert analysis.ring_sizes() == [2, 2, 2]
+        analysis = analyze_unfolding(unfolding_charpoly(5, 1))
+        assert analysis.ring_size_counts() == {2: 3}
         radii = sorted({round(float(abs(b.e1)), 9) for b in analysis.branches})
         expected = [round(n * math.sqrt(2.0), 9) for n in (1, 3, 5)]
         assert radii == pytest.approx(expected, rel=1e-9)

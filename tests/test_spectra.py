@@ -104,15 +104,6 @@ class TestSweepAndMatching:
         out = sweep(ModelParams(particles=3, gamma=0.0, v=1.0, c=0.1), "gamma", [0.7])
         assert len(out) == 1 and out[0].count == 4
 
-    def test_thread_determinism(self, monkeypatch):
-        params = ModelParams(particles=6, gamma=0.0, v=1.0, c=0.05)
-        grid = np.linspace(0, 1.4, 40)
-        serial = sweep(params, "gamma", grid)
-        monkeypatch.setenv("EPSPECTRA_THREADS", "4")
-        threaded = sweep(params, "gamma", grid)
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.eigenvalues, b.eigenvalues)
-
     def test_identity_matching_for_separated_branches(self):
         params = ModelParams(particles=2, gamma=0.0, v=1.0, c=0.0)
         out = sweep(params, "gamma", [0.0, 0.2, 0.4])
