@@ -16,10 +16,8 @@ from .exact_poly import (
     Rational,
     charpoly_of_tridiagonal,
     faddeev_leverrier,
-    lowest_power,
     parse_exact_decimal,
     rat,
-    realness_check,
     verify_trace_structure,
 )
 from .operators import (

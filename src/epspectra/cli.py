@@ -390,11 +390,14 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="epspectra", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, gamma=False, c=False):
+    def common(p, pert_power=True, formats=("csv", "json", "text")):
+        # only the options the subcommand reads; the first format is the default
         p.add_argument("--particles", "-N", type=int, required=True, help="particle number N")
         p.add_argument("--v", default="1", help="tunneling strength (exact decimal)")
-        p.add_argument("--pert-power", type=int, default=2, help="power k of the L_z^k term")
-        p.add_argument("--format", choices=("csv", "json", "text"), default="csv")
+        if pert_power:
+            p.add_argument("--pert-power", type=int, default=2, help="power k of the L_z^k term")
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--output", "-o", default="-", help="output path, '-' for stdout")
 
     p = sub.add_parser("spectrum", help="eigenvalues over a gamma sweep")
@@ -410,19 +413,19 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_trajectory)
 
     p = sub.add_parser("charpoly", help="exact characteristic polynomial")
-    common(p)
+    common(p, formats=())
     p.add_argument("--gamma", required=True, help="gamma (exact decimal)")
     p.add_argument("--c", default=None, help="fixed c (exact decimal); omit to keep c symbolic")
-    p.set_defaults(func=cmd_charpoly, format="text")
+    p.set_defaults(func=cmd_charpoly)
 
     p = sub.add_parser("newton", help="Newton-Puiseux unfolding at gamma = v")
-    common(p)
+    common(p, formats=("text", "json"))
     p.add_argument("--pert", choices=("c", "delta"), default="c",
                    help="perturbation parameter: c at gamma=v, or delta at c=0")
-    p.set_defaults(func=cmd_newton, format="text")
+    p.set_defaults(func=cmd_newton)
 
     p = sub.add_parser("ep-map", help="second-order EP positions over a c grid")
-    common(p)
+    common(p, pert_power=False, formats=("csv", "json"))
     p.add_argument("--c", required=True, help="c range min:max:steps[:log]")
     p.add_argument("--gamma-max", default=None, help="upper end of the gamma search range")
     p.add_argument("--tol", type=float, default=1e-9, help="bisection bracket width")

@@ -91,7 +91,7 @@ def _exact_count(particles, gamma, v, c, tol):
     return spectra.classify(vals, imag_tol=tol, pair_tol=float("inf")).conjugate_pair_count
 
 
-def _pair_count_fn(particles, v, c, imag_tol=None, imag_tol_factor=1e-7):
+def _pair_count_fn(particles, v, c, imag_tol=None):
     """Conjugate-pair counter in gamma.
 
     The dense route is the fast path. Its count is trusted only while the
@@ -100,6 +100,10 @@ def _pair_count_fn(particles, v, c, imag_tol=None, imag_tol_factor=1e-7):
     non-normality) the counter falls back to the exact-charpoly route. At
     c = 0 every breaking point sits at the order-(N+1) degeneracy where the
     dense route is meaningless, so the exact route is used outright.
+
+    Eigenvalues with |Im| <= ``imag_tol`` count as real. The default is
+    1e-7 * scale with scale = max(1, max|H|); width_split_heuristic passes
+    an absolute tolerance instead.
     """
     exact_only = float(c) == 0.0
 
@@ -107,7 +111,7 @@ def _pair_count_fn(particles, v, c, imag_tol=None, imag_tol_factor=1e-7):
         params = ModelParams(particles=particles, gamma=float(gamma), v=float(v), c=float(c))
         H = build_generalized_hamiltonian(params, "orthonormal")
         scale = max(1.0, H.max_abs())
-        tol = imag_tol if imag_tol is not None else imag_tol_factor * scale
+        tol = imag_tol if imag_tol is not None else 1e-7 * scale
         if exact_only:
             return _exact_count(particles, gamma, v, c, tol)
         vals = spectra.eigenvalues(H, context=f"(gamma={gamma})")
@@ -120,9 +124,9 @@ def _pair_count_fn(particles, v, c, imag_tol=None, imag_tol_factor=1e-7):
     return count
 
 
-def complex_pair_count(gamma, *, particles, v=1.0, c=0.0, imag_tol=None) -> int:
+def complex_pair_count(gamma, *, particles, v=1.0, c=0.0) -> int:
     """Number of complex-conjugate pairs at one gamma (PT-symmetric params)."""
-    return _pair_count_fn(particles, v, c, imag_tol=imag_tol)(gamma)
+    return _pair_count_fn(particles, v, c)(gamma)
 
 
 def _locate_transitions(count, lo, hi, tol, max_splits, method, meta):
@@ -178,7 +182,7 @@ def _scan_and_locate(count, gamma_range, tol, coarse_points, max_splits, method,
 
 
 def locate_eps(particles, v, c, gamma_range=None, tol=1e-9, coarse_points=512,
-               imag_tol=None, imag_tol_factor=1e-7, max_splits=48):
+               max_splits=48):
     """Second-order EP positions along gamma >= 0, one record per transition.
 
     Scans the conjugate-pair count on a coarse grid and bisects every change
@@ -193,7 +197,7 @@ def locate_eps(particles, v, c, gamma_range=None, tol=1e-9, coarse_points=512,
     """
     if gamma_range is None:
         gamma_range = (0.0, float(v) * (particles + 3) / 2.0)
-    count = _pair_count_fn(particles, v, c, imag_tol=imag_tol, imag_tol_factor=imag_tol_factor)
+    count = _pair_count_fn(particles, v, c)
     meta = {"c": float(c), "v": float(v), "particles": particles}
     return _scan_and_locate(
         count, gamma_range, tol, coarse_points, max_splits, "pair-count-bisection", meta

@@ -40,9 +40,7 @@ __all__ = [
     "CharPoly",
     "faddeev_leverrier",
     "charpoly_of_tridiagonal",
-    "lowest_power",
     "verify_trace_structure",
-    "realness_check",
     "TraceStructureReport",
 ]
 
@@ -385,6 +383,7 @@ class CharPoly:
         return acc
 
     def realness_check(self) -> bool:
+        """True iff every coefficient of every p_k has zero imaginary part."""
         return all(p.is_real() for p in self.paper_coeffs)
 
     def newton_identity_traces(self):
@@ -451,12 +450,10 @@ def charpoly_of_tridiagonal(matrix) -> CharPoly:
     """
     if getattr(matrix, "entry_kind", None) != "exact":
         raise TypeError("charpoly_of_tridiagonal requires an exact operator matrix")
+    if not matrix.is_tridiagonal():
+        raise ValueError("matrix is not tridiagonal")
     M = matrix.dim
     E = matrix.entries
-    for i in range(M):
-        for j in range(M):
-            if abs(i - j) > 1 and E[i][j]:
-                raise ValueError("matrix is not tridiagonal")
     # D polynomials in lambda, coefficients are ParamPoly
     d_prev = [ParamPoly.const(GR_ONE)]
     d_cur = [-E[0][0], ParamPoly.const(GR_ONE)]
@@ -474,16 +471,6 @@ def charpoly_of_tridiagonal(matrix) -> CharPoly:
     # d_cur[j] is the monic lambda^j coefficient; p_k = -monic[M-k]
     p = [-d_cur[M - k] for k in range(M + 1)]
     return CharPoly.from_paper_coeffs(p, matrix.param or "c")
-
-
-def lowest_power(p: ParamPoly):
-    """Lowest-order term of a parameter polynomial as (exponent, coefficient)."""
-    return p.lowest_power()
-
-
-def realness_check(charpoly: CharPoly) -> bool:
-    """True iff every coefficient of every p_k has zero imaginary part."""
-    return charpoly.realness_check()
 
 
 @dataclass

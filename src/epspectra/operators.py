@@ -239,10 +239,7 @@ class OperatorMatrix:
         return float(np.abs(arr).max()) if arr.size else 0.0
 
     def is_tridiagonal(self) -> bool:
-        if self.entry_kind == "float":
-            n = self.dim
-            mask = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]) > 1
-            return not np.any(self.array[mask])
+        self._require_exact()
         return all(
             not self.entries[i][j]
             for i in range(self.dim)

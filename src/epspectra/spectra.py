@@ -157,7 +157,26 @@ def optimal_match_distance(a, b) -> float:
     return float(cost[rows, cols].max())
 
 
-def match_branches(spectra, vary: str = "gamma", jump_ratio: float = 10.0):
+_JUMP_RATIO = 10.0
+
+
+def _match_step(prev, cur, jump_ratio):
+    """Order ``cur`` to continue ``prev`` by minimum-total-distance assignment.
+
+    Returns (ordered, flagged): flagged when the largest jump exceeds
+    ``jump_ratio`` times the median jump. The jumps, hence the flag, do not
+    depend on the order of ``prev``.
+    """
+    cost = np.abs(prev[:, None] - cur[None, :])
+    r, c = linear_sum_assignment(cost)
+    ordered = np.empty(len(prev), dtype=complex)
+    ordered[r] = cur[c]
+    jumps = np.abs(ordered - prev)
+    floor = 1e-14 * max(1.0, np.abs(cur).max())
+    return ordered, jumps.max() > jump_ratio * max(np.median(jumps), floor)
+
+
+def match_branches(spectra, vary: str = "gamma", jump_ratio: float = _JUMP_RATIO):
     """Pair eigenvalues across a sweep by minimum-total-distance assignment.
 
     Returns (trajectories, flagged_steps). A step is flagged when its
@@ -167,26 +186,18 @@ def match_branches(spectra, vary: str = "gamma", jump_ratio: float = 10.0):
     """
     if len(spectra) < 2:
         raise ValueError("branch matching needs at least two grid points")
-    n = spectra[0].count
     params = [float(getattr(s.params, vary)) for s in spectra]
     rows = [spectra[0].eigenvalues.copy()]
     flagged = []
-    for i in range(len(spectra) - 1):
-        prev, cur = rows[-1], spectra[i + 1].eigenvalues
-        cost = np.abs(prev[:, None] - cur[None, :])
-        r, c = linear_sum_assignment(cost)
-        ordered = np.empty(n, dtype=complex)
-        ordered[r] = cur[c]
-        jumps = np.abs(ordered - prev)
-        med = np.median(jumps)
-        floor = 1e-14 * max(1.0, np.abs(cur).max())
-        if jumps.max() > jump_ratio * max(med, floor):
+    for i, spec in enumerate(spectra[1:]):
+        ordered, jumped = _match_step(rows[-1], spec.eigenvalues, jump_ratio)
+        if jumped:
             flagged.append(i)
         rows.append(ordered)
     table = np.array(rows)  # (points, branches)
     trajectories = [
         Trajectory(branch=b, parameters=np.array(params), values=table[:, b].copy())
-        for b in range(n)
+        for b in range(table.shape[1])
     ]
     return trajectories, flagged
 
@@ -195,54 +206,45 @@ def matched_sweep(params: ModelParams, vary: str, grid, max_levels: int = 12,
                   evaluate=None):
     """Sweep with automatic dyadic refinement of flagged steps.
 
-    Midpoints are inserted into flagged steps until the flag clears or the
-    step has been halved ``max_levels`` times. A genuine branch-point
-    crossing never clears: its square-root jump shrinks slower than the
-    step, so the ratio grows under refinement. What refinement buys is
-    localization: the offending interval is narrowed to 2^-max_levels of
-    the original step and reported as unresolved, ready to hand to the EP
-    locator.
+    Each grid step is refined on its own: a flagged piece is halved until
+    its flag clears or it is no wider than 2^-max_levels of the original
+    step. A flag depends only on the spectra at the piece's two ends, so
+    the sweep is matched once, at the end.
+
+    A genuine branch-point crossing never clears: its square-root jump
+    shrinks slower than the step, so the ratio grows under refinement. What
+    refinement buys is localization: the offending interval is narrowed to
+    the floor and reported as unresolved, ready to hand to the EP locator.
 
     ``evaluate`` maps a parameter value to a Spectrum and defaults to the
-    model Hamiltonian at ``params`` with ``vary`` replaced.
+    model Hamiltonian at ``params`` with ``vary`` replaced; it is called
+    once per returned point.
 
-    Returns (trajectories, unresolved_intervals).
+    Returns (trajectories, unresolved_intervals): the steps still flagged
+    in the final matching.
     """
     if evaluate is None:
         evaluate = lambda x: _spectrum_at(replace(params, **{vary: x}))
     grid = sorted(float(g) for g in grid)
     if len(grid) < 2:
         raise ValueError("refinement needs at least two grid points")
-    min_width = {i: (grid[i + 1] - grid[i]) / 2**max_levels for i in range(len(grid) - 1)}
-    cache = {g: evaluate(g) for g in grid}
-
-    def floor_for(x):
-        # refinement floor inherited from the original enclosing step
-        for i in range(len(grid) - 1):
-            if grid[i] <= x < grid[i + 1]:
-                return min_width[i]
-        return min_width[len(grid) - 2]
-
-    points = list(grid)
-    while True:
-        spectra = [cache[g] for g in points]
-        trajectories, flagged = match_branches(spectra, vary)
-        to_insert = []
-        for i in flagged:
-            lo, hi = points[i], points[i + 1]
-            if hi - lo <= floor_for(lo):
-                continue
-            to_insert.append((lo + hi) / 2.0)
-        if not to_insert:
-            unresolved = [
-                (points[i], points[i + 1])
-                for i in flagged
-                if points[i + 1] - points[i] <= floor_for(points[i]) * (1 + 1e-9)
-            ]
-            return trajectories, unresolved
-        for mid in to_insert:
-            cache[mid] = evaluate(mid)
-        points = sorted(set(points) | set(to_insert))
+    points, spectra = [grid[0]], [evaluate(grid[0])]
+    for lo, hi in zip(grid, grid[1:]):
+        floor = (hi - lo) / 2**max_levels
+        # right ends still to reach, nearest on top; points[-1] is the left end
+        pending = [(hi, evaluate(hi))]
+        while pending:
+            x, spec = pending[-1]
+            if (x - points[-1] > floor
+                    and _match_step(spectra[-1].eigenvalues, spec.eigenvalues, _JUMP_RATIO)[1]):
+                mid = (points[-1] + x) / 2.0
+                pending.append((mid, evaluate(mid)))
+            else:
+                pending.pop()
+                points.append(x)
+                spectra.append(spec)
+    trajectories, flagged = match_branches(spectra, vary)
+    return trajectories, [(points[i], points[i + 1]) for i in flagged]
 
 
 def classify(spectrum, imag_tol=None, pair_tol=None) -> Classification:

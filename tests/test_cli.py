@@ -230,6 +230,19 @@ class TestExitCodes:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
 
+    def test_ep_map_rejects_pert_power_and_text(self):
+        # ep-map always maps the k = 2 model and writes CSV or JSON
+        assert main(["ep-map", "--particles", "5", "--c", "0.02:0.02:1",
+                     "--pert-power", "3"]) == 1
+        assert main(["ep-map", "--particles", "5", "--c", "0.02:0.02:1",
+                     "--format", "text"]) == 1
+
+    def test_charpoly_rejects_format(self):
+        assert main(["charpoly", "--particles", "3", "--gamma", "1", "--format", "json"]) == 1
+
+    def test_newton_rejects_csv(self):
+        assert main(["newton", "--particles", "3", "--format", "csv"]) == 1
+
     def test_verify_subset_passes_and_is_deterministic(self, tmp_path):
         args = ("verify", "--only", "n5-charpoly,newton-n5")
         code_a, a = run_cli(tmp_path, *args, name="a.txt")

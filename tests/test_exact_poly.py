@@ -14,10 +14,8 @@ from epspectra.exact_poly import (
     Rational,
     charpoly_of_tridiagonal,
     faddeev_leverrier,
-    lowest_power,
     parse_exact_decimal,
     rat,
-    realness_check,
     verify_trace_structure,
 )
 from epspectra.newton_polygon import analyze_unfolding, unfolding_charpoly
@@ -83,13 +81,13 @@ class TestParamPoly:
     def test_lowest_power_examples(self):
         # the lambda^3 coefficient of the N=5 polynomial
         p = poly((1, 448), (3, gr("-4645/2")))
-        assert lowest_power(p) == (1, gr(448))
-        assert lowest_power(poly((0, -1))) == (0, gr(-1))
+        assert p.lowest_power() == (1, gr(448))
+        assert poly((0, -1)).lowest_power() == (0, gr(-1))
         # the constant term of the N=5 polynomial
         p = poly((2, 6400), (4, -30600), (6, gr("50625/64")))
-        assert lowest_power(p) == (2, gr(6400))
+        assert p.lowest_power() == (2, gr(6400))
         with pytest.raises(ValueError):
-            lowest_power(ParamPoly())
+            ParamPoly().lowest_power()
 
     def test_mul_and_substitute(self):
         p = poly((0, 1), (1, 2))  # 1 + 2c
@@ -253,13 +251,13 @@ class TestRealness:
         H = build_hamiltonian(
             ModelParams(particles=N, gamma=rat("2/3"), v=1, c=rat("1/7")), "monomial"
         )
-        assert realness_check(charpoly_of_tridiagonal(H))
+        assert charpoly_of_tridiagonal(H).realness_check()
 
     def test_pt_symmetric_is_real_via_faddeev(self):
         H = build_hamiltonian(
             ModelParams(particles=6, gamma=rat("2/3"), v=1, c=rat("1/7")), "monomial"
         )
-        assert realness_check(faddeev_leverrier(H))
+        assert faddeev_leverrier(H).realness_check()
 
     def test_complex_onsite_energy_breaks_realness(self):
         # epsilon with nonzero real part: H = 2 eps L_z + 2 v L_x, eps = 1 - i
@@ -267,12 +265,12 @@ class TestRealness:
         lz = build_cartesian(rep, "z", "monomial")
         lx = build_cartesian(rep, "x", "monomial")
         H = lz.scale(GaussianRational(2, -2)).add(lx.scale(GaussianRational(2)))
-        assert not realness_check(faddeev_leverrier(H))
+        assert not faddeev_leverrier(H).realness_check()
 
     def test_real_diagonal_matrix(self):
         rep = ModelParams(particles=5, gamma=0, v=1, c=0).rep
         lz = build_cartesian(rep, "z", "monomial")
-        assert realness_check(faddeev_leverrier(lz))
+        assert faddeev_leverrier(lz).realness_check()
 
 
 class TestExactRootConsistency:

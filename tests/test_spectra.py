@@ -1,5 +1,7 @@
 """Eigenvalue routes, sweeps, branch matching, and Krein classification."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,38 @@ class TestSweepAndMatching:
         step = grid[1] - grid[0]
         assert any(lo <= 0.0 <= hi for lo, hi in unresolved)
         assert all(hi - lo <= step / 2**6 * (1 + 1e-9) for lo, hi in unresolved)
+
+    def test_model_refinement_reaches_floor_step_by_step(self):
+        # N=11, gamma=0.9: the step holding c ~ 0.00215 stays flagged down to
+        # the floor (the README trajectory job refines it the same way)
+        params = ModelParams(particles=11, gamma=0.9, v=1.0, c=0.0)
+        grid = np.geomspace(0.002, 0.0023, 5)
+        levels = 6
+        evaluated = {}
+
+        def evaluate(x):
+            assert x not in evaluated
+            evaluated[x] = spectra._spectrum_at(replace(params, c=x))
+            return evaluated[x]
+
+        trajectories, unresolved = matched_sweep(
+            params, "c", grid, max_levels=levels, evaluate=evaluate
+        )
+        points = list(trajectories[0].parameters)
+        assert sorted(evaluated) == points  # one evaluation per returned point
+        assert len(points) > len(grid) and unresolved
+        _, flagged = match_branches([evaluated[x] for x in points], "c")
+        assert unresolved == [(points[i], points[i + 1]) for i in flagged]
+        steps = np.diff(grid)
+        for lo, hi in unresolved:
+            step = steps[np.searchsorted(grid, lo, side="right") - 1]
+            assert hi - lo <= step / 2**levels
+        # refinement is local to each original step
+        left, left_unresolved = matched_sweep(params, "c", grid[:3], max_levels=levels)
+        right, right_unresolved = matched_sweep(params, "c", grid[2:], max_levels=levels)
+        joined = list(left[0].parameters) + list(right[0].parameters)[1:]
+        assert joined == points
+        assert left_unresolved + right_unresolved == unresolved
 
 
 class TestDepartureDirections:
