@@ -13,8 +13,12 @@ two forms are easy to make and painful to debug.
 
 The production route is the O(M^2) determinant continuant on a tridiagonal
 matrix (``charpoly_of_tridiagonal``); the model Hamiltonian is tridiagonal
-in the monomial basis for every perturbation power. The Le Verrier-Faddeev
-trace recursion
+in the monomial basis for every perturbation power. The continuant clears
+denominators first: with D the lcm of the entries' denominators, D H has
+Gaussian-integer entries, so the recursion and its traces run on (re, im)
+pairs of Python ints and divide by D^k once at the end. Its speed then
+does not depend on which ``Rational`` backend is installed. The
+Le Verrier-Faddeev trace recursion
 
     p_k = -(1/k) * sum_{j=1..k} s_j p_{k-j},   s_k = tr(M^k),
 
@@ -25,6 +29,7 @@ coefficients) and as the test oracle for the continuant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 try:
@@ -438,15 +443,55 @@ def faddeev_leverrier(matrix) -> CharPoly:
     return CharPoly(dim=M, paper_coeffs=p, traces=s, param=matrix.param or "c")
 
 
+def _add_product(acc: dict, p: dict, q: dict) -> None:
+    """acc += p * q for exponent -> (re, im) Gaussian-integer polynomials."""
+    for e1, (a, b) in p.items():
+        for e2, (c, d) in q.items():
+            e = e1 + e2
+            s = acc.get(e)
+            if s is None:
+                acc[e] = (a * c - b * d, a * d + b * c)
+            else:
+                acc[e] = (s[0] + a * c - b * d, s[1] + a * d + b * c)
+
+
+def _nonzero(acc: dict) -> dict:
+    return {e: z for e, z in acc.items() if z[0] or z[1]}
+
+
+def _scaled_integers(poly: ParamPoly, scale: int) -> dict:
+    """scale * poly as exponent -> (re, im) ints; scale is a multiple of every denominator."""
+    return {
+        e: (int(g.re.numerator) * (scale // int(g.re.denominator)),
+            int(g.im.numerator) * (scale // int(g.im.denominator)))
+        for e, g in poly.coeffs.items()
+    }
+
+
+def _divided(poly: dict, den: int) -> ParamPoly:
+    """The ParamPoly poly / den of a Gaussian-integer polynomial."""
+    p = ParamPoly.__new__(ParamPoly)
+    p.coeffs = {
+        e: GaussianRational(Rational(re, den), Rational(im, den))
+        for e, (re, im) in poly.items()
+    }
+    return p
+
+
 def charpoly_of_tridiagonal(matrix) -> CharPoly:
     """Characteristic polynomial of an exact tridiagonal matrix.
 
     Uses the determinant continuant D_j = (lambda - a_j) D_{j-1} -
     b_{j-1} c_{j-1} D_{j-2}: O(M^2) parameter-polynomial products against
-    the O(M^4) of the trace recursion. Traces are filled in through
-    Newton's identities so the cache stays consistent with the
-    Faddeev-LeVerrier convention (the two routes are cross-checked in the
-    test suite).
+    the O(M^4) of the trace recursion. The arithmetic is in Gaussian
+    integers: with D the lcm of every real and imaginary denominator of the
+    diagonal a_j and the off-diagonal products b_j c_j, the matrix A = D H
+    has diagonal D a_j and products D^2 b_j c_j, all Gaussian integers. The
+    continuant of A and its traces (by Newton's identities) run over
+    polynomials in (lambda, parameter) whose coefficients are (re, im)
+    pairs of Python ints, and one division at the end gives
+    p_k(H) = p_k(A) / D^k and s_k(H) = s_k(A) / D^k. Faddeev-LeVerrier is
+    the test oracle for both.
     """
     if getattr(matrix, "entry_kind", None) != "exact":
         raise TypeError("charpoly_of_tridiagonal requires an exact operator matrix")
@@ -454,23 +499,41 @@ def charpoly_of_tridiagonal(matrix) -> CharPoly:
         raise ValueError("matrix is not tridiagonal")
     M = matrix.dim
     E = matrix.entries
-    # D polynomials in lambda, coefficients are ParamPoly
-    d_prev = [ParamPoly.const(GR_ONE)]
-    d_cur = [-E[0][0], ParamPoly.const(GR_ONE)]
+    diag = [E[j][j] for j in range(M)]
+    offs = [E[j - 1][j] * E[j][j - 1] for j in range(1, M)]
+    D = 1
+    for poly in diag + offs:
+        for g in poly.coeffs.values():
+            D = math.lcm(D, int(g.re.denominator), int(g.im.denominator))
+    # negated entries of A, so that each continuant step only adds products
+    neg_a = [_scaled_integers(a, -D) for a in diag]
+    neg_off = [_scaled_integers(off, -D * D) for off in offs]
+    # d[i] is the lambda^i coefficient of D_j(lambda) = det(lambda I - A_j)
+    one = {0: (1, 0)}
+    d_prev = [one]
+    d_cur = [neg_a[0], one]
     for j in range(1, M):
-        a = E[j][j]
-        nxt = [ParamPoly() for _ in range(len(d_cur) + 1)]
+        nxt = [{}] + [dict(coeff) for coeff in d_cur]  # lambda * D_{j-1}
         for i, coeff in enumerate(d_cur):
-            nxt[i + 1] = nxt[i + 1] + coeff
-            nxt[i] = nxt[i] - coeff * a
-        off = E[j - 1][j] * E[j][j - 1]
-        if off:
+            _add_product(nxt[i], coeff, neg_a[j])
+        if neg_off[j - 1]:
             for i, coeff in enumerate(d_prev):
-                nxt[i] = nxt[i] - coeff * off
-        d_prev, d_cur = d_cur, nxt
-    # d_cur[j] is the monic lambda^j coefficient; p_k = -monic[M-k]
-    p = [-d_cur[M - k] for k in range(M + 1)]
-    return CharPoly.from_paper_coeffs(p, matrix.param or "c")
+                _add_product(nxt[i], coeff, neg_off[j - 1])
+        d_prev, d_cur = d_cur, [_nonzero(acc) for acc in nxt]
+    # p_k = -(lambda^{M-k} coefficient); s_k = k p_k + sum_{j<k} s_j p_{k-j}
+    p = [{e: (-re, -im) for e, (re, im) in d_cur[M - k].items()} for k in range(M + 1)]
+    s = [None] * (M + 1)
+    for k in range(1, M + 1):
+        acc = {e: (k * re, k * im) for e, (re, im) in p[k].items()}
+        for j in range(1, k):
+            _add_product(acc, s[j], p[k - j])
+        s[k] = _nonzero(acc)
+    return CharPoly(
+        dim=M,
+        paper_coeffs=[_divided(p[k], D**k) for k in range(M + 1)],
+        traces=[None] + [_divided(s[k], D**k) for k in range(1, M + 1)],
+        param=matrix.param or "c",
+    )
 
 
 @dataclass

@@ -343,17 +343,21 @@ def build_generalized_hamiltonian(params: ModelParams, basis: str = "orthonormal
         raise ValueError("basis must be 'orthonormal' or 'monomial'")
     gam = rat(params.gamma)
     v = rat(params.v)
-    H = build_cartesian(rep, "x", "monomial").scale(GaussianRational(2 * v))
-    lz_diag = rep.m_values()
-    for n, m in enumerate(lz_diag):
+    N = rep.particles
+    H = OperatorMatrix.exact_zeros(rep.dim, "monomial", "c" if params.c is None else None)
+    for n, m in enumerate(rep.m_values()):
+        # 2 v L_x = v (L_+ + L_-): L_+ xi^n = (N - n) xi^{n+1}, L_- xi^n = n xi^{n-1}
+        if n < N:
+            H.entries[n + 1][n] = ParamPoly.const(GaussianRational(v * (N - n)))
+        if n > 0:
+            H.entries[n - 1][n] = ParamPoly.const(GaussianRational(v * n))
         diag = ParamPoly.const(GaussianRational(0, -2 * gam * m))
         pert_mag = GaussianRational(2 * m**k)
         if params.c is None:
             diag = diag + ParamPoly.monomial(1, pert_mag)
         else:
             diag = diag + ParamPoly.const(pert_mag.scale(rat(params.c)))
-        H.entries[n][n] = H.entries[n][n] + diag
-    H.param = "c" if params.c is None else None
+        H.entries[n][n] = diag
     return H
 
 

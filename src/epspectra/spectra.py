@@ -82,9 +82,19 @@ def eigenvalues_from_charpoly(charpoly, value=0) -> np.ndarray:
 
 
 def exact_spectrum(matrix: OperatorMatrix, value=None, context: str = "") -> np.ndarray:
-    """Eigenvalues of an exact tridiagonal matrix via its characteristic polynomial."""
+    """Eigenvalues of an exact tridiagonal matrix via its characteristic polynomial.
+
+    ``value`` fixes the formal parameter; without it the matrix must be
+    parameter-free, and a matrix that still carries the parameter raises
+    ValueError.
+    """
     if matrix.entry_kind != "exact":
         raise TypeError("exact_spectrum needs an exact matrix")
+    if value is None and any(e for row in matrix.entries for p in row for e in p.coeffs):
+        raise ValueError(
+            f"matrix depends on the formal parameter {matrix.param or 'c'!r}; "
+            f"pass a value for it {context}".rstrip()
+        )
     work = matrix if value is None else matrix.substitute(value)
     return eigenvalues_from_charpoly(charpoly_of_tridiagonal(work), 0)
 

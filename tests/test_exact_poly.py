@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import epspectra
 from epspectra.exact_poly import (
@@ -21,6 +23,7 @@ from epspectra.exact_poly import (
 from epspectra.newton_polygon import analyze_unfolding, unfolding_charpoly
 from epspectra.operators import (
     ModelParams,
+    OperatorMatrix,
     build_cartesian,
     build_hamiltonian,
     build_ladder,
@@ -174,6 +177,41 @@ def assert_same_charpoly(a, b):
     assert a.param == b.param
     assert a.paper_coeffs == b.paper_coeffs
     assert a.traces == b.traces
+
+
+# Entries mix small denominators with the dyadic ones rat(float) produces
+# (as ``ep_locator._exact_count`` builds its matrices), in polynomials of
+# degree <= 2 in the formal parameter; an empty dict is a zero entry, so
+# zero off-diagonal products come up often.
+_rationals = st.one_of(
+    st.fractions(min_value=-5, max_value=5, max_denominator=12).map(
+        lambda f: rat(f.numerator, f.denominator)
+    ),
+    st.integers(-5000, 5000).map(lambda i: rat(i / 1000)),
+)
+_entries = st.dictionaries(
+    st.integers(0, 2), st.builds(GaussianRational, _rationals, _rationals), max_size=3
+).map(ParamPoly)
+
+
+@st.composite
+def _tridiagonal_matrices(draw):
+    M = draw(st.integers(1, 7))
+    H = OperatorMatrix.exact_zeros(M, param="c")
+    for j in range(M):
+        H.entries[j][j] = draw(_entries)
+        if j:
+            H.entries[j - 1][j] = draw(_entries)
+            H.entries[j][j - 1] = draw(_entries)
+    return H
+
+
+class TestContinuantProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(_tridiagonal_matrices())
+    @example(OperatorMatrix.exact_zeros(5, param="c"))
+    def test_matches_faddeev(self, H):
+        assert_same_charpoly(charpoly_of_tridiagonal(H), faddeev_leverrier(H))
 
 
 class TestUnfoldingCharpoly:

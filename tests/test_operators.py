@@ -128,6 +128,24 @@ class TestHamiltonian:
                     for den in (g.re.denominator, g.im.denominator):
                         assert int(den) & (int(den) - 1) == 0  # power of two
 
+    @pytest.mark.parametrize("c", [None, rat(0), rat("1/50")])
+    @pytest.mark.parametrize("v", [rat(1), rat("3/2"), rat("-2/7")])
+    def test_monomial_build_matches_ladder_composition(self, v, c):
+        # the diagonals filled directly equal 2v L_x from the ladders plus
+        # the -2i gamma L_z + 2 c L_z^k diagonal, entry by entry
+        gamma = rat("3/10")
+        for N in range(1, 9):
+            for k in (1, 2, 3):
+                params = ModelParams(particles=N, gamma=gamma, v=v, c=c, pert_power=k)
+                H = build_generalized_hamiltonian(params, "monomial")
+                ref = build_cartesian(params.rep, "x", "monomial").scale(GaussianRational(2 * v))
+                for n, m in enumerate(params.rep.m_values()):
+                    pert = (ParamPoly.monomial(1, gr(2 * m**k)) if c is None
+                            else ParamPoly.const(gr(2 * m**k * c)))
+                    ref.entries[n][n] = ParamPoly.const(gr(0, -2 * gamma * m)) + pert
+                assert H.entries == ref.entries
+                assert H.param == ("c" if c is None else None)
+
     def test_formal_c_requires_monomial(self):
         with pytest.raises(UsageError):
             build_hamiltonian(ModelParams(particles=3, gamma=1, v=1, c=None), "orthonormal")

@@ -48,6 +48,16 @@ class TestEigenvalues:
         )
         assert optimal_match_distance(eigenvalues(Hf), exact_spectrum(He)) <= 1e-8
 
+    def test_formal_parameter_needs_a_value(self):
+        # a matrix that still carries c has no spectrum until c is fixed
+        H = build_hamiltonian(ModelParams(particles=3, gamma=1, v=1, c=None), "monomial")
+        with pytest.raises(ValueError, match="formal parameter 'c'"):
+            exact_spectrum(H)
+        with pytest.raises(ValueError, match="formal parameter 'c'"):
+            eigenvalues(H)
+        fixed = build_hamiltonian(ModelParams(particles=3, gamma=1, v=1, c=rat("1/50")), "monomial")
+        assert np.array_equal(exact_spectrum(H, rat("1/50")), exact_spectrum(fixed))
+
     def test_backward_stability_contract(self):
         rng = np.random.default_rng(3)
         for N in (3, 7, 12):
