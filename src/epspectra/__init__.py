@@ -22,6 +22,7 @@ from .exact_poly import (
 )
 from .operators import (
     AngularMomentumRep,
+    HamiltonianFamily,
     ModelParams,
     OperatorMatrix,
     UsageError,

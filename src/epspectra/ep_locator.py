@@ -10,13 +10,14 @@ like the square root of the distance to the EP.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import spectra
 from .exact_poly import rat
-from .operators import ModelParams, build_generalized_hamiltonian
+from .operators import ModelParams, UsageError, build_generalized_hamiltonian
 
 __all__ = [
     "EPRecord",
@@ -94,6 +95,11 @@ def _exact_count(particles, gamma, v, c, tol):
 def _pair_count_fn(particles, v, c, imag_tol=None):
     """Conjugate-pair counter in gamma.
 
+    The float Hamiltonian is built once for (N, v, c); each count writes
+    only its diagonal. ``count(gamma)`` counts at one point and
+    ``count.many(gammas)`` at many, eigensolved in stacked blocks (see
+    ``spectra.stacked_spectra``) with the same bits as one point at a time.
+
     The dense route is the fast path. Its count is trusted only while the
     conjugate pairing stays consistent; when it degrades (count imbalance or
     pairing residual beyond 1e-4 * scale, the signature of strong
@@ -106,21 +112,27 @@ def _pair_count_fn(particles, v, c, imag_tol=None):
     an absolute tolerance instead.
     """
     exact_only = float(c) == 0.0
+    params = ModelParams(particles=particles, v=float(v), c=float(c))
+    family = build_generalized_hamiltonian(params, "orthonormal").family
+
+    def at(gamma, vals, scale):
+        tol = imag_tol if imag_tol is not None else 1e-7 * scale
+        if not exact_only:
+            try:
+                cls = spectra.classify(vals, imag_tol=tol, pair_tol=1e-4 * scale)
+                return cls.conjugate_pair_count
+            except spectra.ClassificationError:
+                pass
+        return _exact_count(particles, gamma, v, c, tol)
+
+    def many(gammas) -> list:
+        blocks = spectra.stacked_spectra(family, "gamma", gammas, lambda g: f"(gamma={g})")
+        return [at(*point) for block in blocks for point in zip(*block)]
 
     def count(gamma: float) -> int:
-        params = ModelParams(particles=particles, gamma=float(gamma), v=float(v), c=float(c))
-        H = build_generalized_hamiltonian(params, "orthonormal")
-        scale = max(1.0, H.max_abs())
-        tol = imag_tol if imag_tol is not None else 1e-7 * scale
-        if exact_only:
-            return _exact_count(particles, gamma, v, c, tol)
-        vals = spectra.eigenvalues(H, context=f"(gamma={gamma})")
-        try:
-            cls = spectra.classify(vals, imag_tol=tol, pair_tol=1e-4 * scale)
-        except spectra.ClassificationError:
-            return _exact_count(particles, gamma, v, c, tol)
-        return cls.conjugate_pair_count
+        return many([gamma])[0]
 
+    count.many = many
     return count
 
 
@@ -129,13 +141,23 @@ def complex_pair_count(gamma, *, particles, v=1.0, c=0.0) -> int:
     return _pair_count_fn(particles, v, c)(gamma)
 
 
-def _locate_transitions(count, lo, hi, tol, max_splits, method, meta):
-    """Scan-free recursive splitter: resolve all count transitions in [lo, hi]."""
+def _check_tol(tol):
+    if not (math.isfinite(tol) and tol > 0):
+        raise UsageError(f"bisection tolerance must be finite and > 0, got {tol!r}")
+
+
+def _locate_transitions(count, lo, hi, clo, chi, tol, max_splits, method, meta):
+    """Recursive splitter: resolve all count transitions in [lo, hi].
+
+    ``clo`` and ``chi`` are the counts at the ends.
+    """
     records = []
 
     def bisect(a, b, ca):
         while b - a > tol:
             mid = 0.5 * (a + b)
+            if not a < mid < b:
+                break  # a and b are adjacent floats
             if count(mid) != ca:
                 b = mid
             else:
@@ -161,20 +183,21 @@ def _locate_transitions(count, lo, hi, tol, max_splits, method, meta):
         resolve(a, mid, ca, cm, depth + 1)
         resolve(mid, b, cm, cb, depth + 1)
 
-    resolve(lo, hi, count(lo), count(hi), 0)
+    resolve(lo, hi, clo, chi, 0)
     return records
 
 
 def _scan_and_locate(count, gamma_range, tol, coarse_points, max_splits, method, meta):
     lo, hi = gamma_range
-    grid = np.linspace(lo, hi, coarse_points)
-    counts = [count(g) for g in grid]
+    grid = np.linspace(lo, hi, coarse_points).tolist()
+    counts = count.many(grid)
     records = []
     for i in range(len(grid) - 1):
         if counts[i + 1] != counts[i]:
             records.extend(
                 _locate_transitions(
-                    count, grid[i], grid[i + 1], tol, max_splits, method, meta
+                    count, grid[i], grid[i + 1], counts[i], counts[i + 1], tol, max_splits,
+                    method, meta,
                 )
             )
     records.sort(key=lambda r: r.gamma)
@@ -191,10 +214,17 @@ def locate_eps(particles, v, c, gamma_range=None, tol=1e-9, coarse_points=512,
     strong-coupling asymptote v (N+1)/2 with margin. For c = 0 use
     mother_ep_check instead (the degeneracy there has order N+1).
 
-    ``tol`` bounds the bisection bracket; the absolute position carries an
-    additional reproducibility band of order 1e-6 from solver noise on the
-    splitting at the classification threshold.
+    The counter builds the float Hamiltonian once for (N, v, c); the coarse
+    grid is counted in stacked eigensolves of at most about 1 MiB of
+    matrices, and bisection counts one point at a time.
+
+    ``tol`` bounds the bisection bracket and must be finite and > 0
+    (UsageError otherwise); bisection also stops when the bracket ends are
+    adjacent floats. The absolute position carries an additional
+    reproducibility band of order 1e-6 from solver noise on the splitting
+    at the classification threshold.
     """
+    _check_tol(tol)
     if gamma_range is None:
         gamma_range = (0.0, float(v) * (particles + 3) / 2.0)
     count = _pair_count_fn(particles, v, c)
@@ -215,6 +245,7 @@ def width_split_heuristic(particles, v, c, threshold=1e-4, gamma_range=None,
     relative to locate_eps by the square-root splitting law, well inside
     1e-3 for paper-scale parameters.
     """
+    _check_tol(tol)
     if gamma_range is None:
         gamma_range = (0.0, float(v) * (particles + 3) / 2.0)
     count = _pair_count_fn(particles, v, c, imag_tol=threshold / 2.0)
@@ -227,9 +258,10 @@ def width_split_heuristic(particles, v, c, threshold=1e-4, gamma_range=None,
 def ep_map(particles, v, c_grid, gamma_range=None, tol=1e-9, coarse_points=512,
            max_splits=48) -> EPMap:
     """locate_eps per c; curves are assembled by ascending-gamma index."""
+    _check_tol(tol)
     c_values = [float(c) for c in c_grid]
     if any(c <= 0 for c in c_values):
-        raise ValueError("ep_map needs a positive c grid (the c=0 point is the mother EP)")
+        raise UsageError("ep_map needs a positive c grid (the c=0 point is the mother EP)")
     records = []
     for c in c_values:
         try:

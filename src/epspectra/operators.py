@@ -35,6 +35,7 @@ __all__ = [
     "AngularMomentumRep",
     "ModelParams",
     "OperatorMatrix",
+    "HamiltonianFamily",
     "UsageError",
     "build_ladder",
     "build_cartesian",
@@ -111,13 +112,16 @@ class OperatorMatrix:
     Exact entries are ParamPoly values in one formal parameter (possibly of
     degree zero). ``basis_tag`` records which basis the matrix lives in.
     Instances are immutable by convention; all operations return new
-    matrices.
+    matrices. A float Hamiltonian from ``build_generalized_hamiltonian``
+    carries its ``HamiltonianFamily`` as ``family``, so a sweep over gamma
+    or c builds once; other matrices have ``family = None``.
     """
 
     def __init__(self, entries, entry_kind, basis_tag, param=None):
         self.entry_kind = entry_kind
         self.basis_tag = basis_tag
         self.param = param
+        self.family = None
         if entry_kind == "float":
             self.array = np.asarray(entries, dtype=complex)
             if self.array.ndim != 2 or self.array.shape[0] != self.array.shape[1]:
@@ -173,8 +177,12 @@ class OperatorMatrix:
 
     def power(self, k: int) -> "OperatorMatrix":
         self._require_exact()
-        out = OperatorMatrix.exact_identity(self.dim, self.basis_tag, self.param)
-        for _ in range(k):
+        if k < 0:
+            raise ValueError("matrix power needs k >= 0")
+        if k == 0:
+            return OperatorMatrix.exact_identity(self.dim, self.basis_tag, self.param)
+        out = self
+        for _ in range(k - 1):
             out = out.matmul(self)
         return out
 
@@ -327,20 +335,60 @@ def build_hamiltonian(params: ModelParams, basis: str = "orthonormal") -> Operat
     return build_generalized_hamiltonian(params, basis)
 
 
-def build_generalized_hamiltonian(params: ModelParams, basis: str = "orthonormal") -> OperatorMatrix:
-    """H = -2i gamma L_z + 2 v L_x + 2 c L_z^k for any k >= 1."""
-    rep = params.rep
-    k = params.pert_power
-    if basis == "orthonormal":
+class HamiltonianFamily:
+    """Orthonormal-basis H = -2i gamma L_z + 2 v L_x + 2 c L_z^k along gamma or c.
+
+    2 v L_x, L_z and L_z^k are built once per (N, v, k); ``stack`` writes
+    only the diagonal -2i gamma L_z + 2 c L_z^k, so every matrix costs one
+    copy plus a diagonal. ``params`` fixes the parameter that is not varied.
+    """
+
+    def __init__(self, params: ModelParams):
         if params.c is None:
             raise UsageError("formal c requires the monomial (exact) basis")
-        g, v, c = float(params.gamma), float(params.v), float(params.c)
-        lz = np.arange(rep.dim) - rep.particles / 2.0
-        H = 2.0 * v * build_cartesian(rep, "x", "orthonormal").array
-        H[np.diag_indices(rep.dim)] += -2j * g * lz + 2.0 * c * lz**k
-        return OperatorMatrix(H, "float", "orthonormal")
+        N = params.particles
+        self.params = params
+        self.dim = N + 1
+        self.gamma, self.c = float(params.gamma), float(params.c)
+        # L_+ + L_-: <n+1|L_+|n> = <n|L_-|n+1> = sqrt((N - n)(n + 1))
+        n = np.arange(N)
+        ladders = np.zeros((self.dim, self.dim), dtype=complex)
+        ladders[n + 1, n] = ladders[n, n + 1] = np.sqrt((N - n) * (n + 1.0))
+        self.tunneling = 2.0 * float(params.v) * (ladders / 2.0)
+        self.lz = np.arange(self.dim) - N / 2.0
+        self.lz_k = self.lz**params.pert_power
+
+    def stack(self, vary: str, values) -> np.ndarray:
+        """H at each value of ``vary`` ("gamma" or "c"): shape (len(values), N+1, N+1)."""
+        x = np.asarray(values, dtype=float)[:, None]
+        if vary == "gamma":
+            diag = -2j * x * self.lz + 2.0 * self.c * self.lz_k
+        elif vary == "c":
+            diag = -2j * self.gamma * self.lz + 2.0 * x * self.lz_k
+        else:
+            raise ValueError("vary must be 'gamma' or 'c'")
+        out = np.empty((len(x), self.dim, self.dim), dtype=complex)
+        out[:] = self.tunneling
+        d = np.arange(self.dim)
+        out[:, d, d] += diag
+        return out
+
+
+def build_generalized_hamiltonian(params: ModelParams, basis: str = "orthonormal") -> OperatorMatrix:
+    """H = -2i gamma L_z + 2 v L_x + 2 c L_z^k for any k >= 1.
+
+    The orthonormal matrix is the one-point stack of its
+    ``HamiltonianFamily``, which it carries as ``family``.
+    """
+    if basis == "orthonormal":
+        family = HamiltonianFamily(params)
+        H = OperatorMatrix(family.stack("gamma", [family.gamma])[0], "float", "orthonormal")
+        H.family = family
+        return H
     if basis != "monomial":
         raise ValueError("basis must be 'orthonormal' or 'monomial'")
+    rep = params.rep
+    k = params.pert_power
     gam = rat(params.gamma)
     v = rat(params.v)
     N = rep.particles

@@ -32,6 +32,7 @@ __all__ = [
     "eigenvalues_from_charpoly",
     "exact_spectrum",
     "analytic_c0_spectrum",
+    "stacked_spectra",
     "sweep",
     "match_branches",
     "matched_sweep",
@@ -48,23 +49,29 @@ class ClassificationError(RuntimeError):
     """Krein pairing violated: an unpaired non-real eigenvalue."""
 
 
+# Stacked eigensolves take at most this many bytes of matrices at a time.
+_STACK_BYTES = 1 << 20
+
+
 def _sorted_eigs(vals: np.ndarray) -> np.ndarray:
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order]
+    order = np.lexsort((vals.imag, vals.real), axis=-1)
+    return np.take_along_axis(vals, order, axis=-1)
 
 
 def eigenvalues(matrix, context: str = "") -> np.ndarray:
     """All eigenvalues, deterministically ordered by (Re, Im).
 
-    Floating matrices go through the dense LAPACK solver. Exact
-    parameter-free tridiagonal matrices go through the exact characteristic
-    polynomial and polished companion roots, which is the accurate route at
-    and near exceptional points.
+    Floating matrices go through the dense LAPACK solver; a stack of shape
+    (..., M, M) gives each matrix's sorted eigenvalues along the last axis,
+    the same bits as one call per matrix. Exact parameter-free tridiagonal
+    matrices go through the exact characteristic polynomial and polished
+    companion roots, which is the accurate route at and near exceptional
+    points.
     """
     if isinstance(matrix, OperatorMatrix) and matrix.entry_kind == "exact":
         return exact_spectrum(matrix, context=context)
     arr = matrix.array if isinstance(matrix, OperatorMatrix) else np.asarray(matrix, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise SpectralError(f"matrix is not square {context}")
     if not np.all(np.isfinite(arr)):
         raise SpectralError(f"matrix has non-finite entries {context}")
@@ -144,18 +151,49 @@ class Classification:
     imag_tolerance: float
 
 
-def _spectrum_at(params: ModelParams) -> Spectrum:
-    H = build_generalized_hamiltonian(params, "orthonormal")
-    vals = eigenvalues(H, context=f"(N={params.particles}, gamma={float(params.gamma)}, "
-                                   f"v={float(params.v)}, c={float(params.c)})")
-    return Spectrum(params=params, eigenvalues=vals, scale=max(1.0, H.max_abs()))
+def stacked_spectra(family, vary: str, values, context):
+    """Sorted eigenvalues and scale max(1, max|H|) of a family's H at each value.
+
+    ``family`` is the ``HamiltonianFamily`` of an orthonormal build. Yields
+    (values, eigenvalues, scales) per stacked eigensolve of at most
+    _STACK_BYTES of matrices, so memory does not grow with the number of
+    values. A failing block is solved again one matrix at a time, so the
+    error names its first failing value by ``context(value)``.
+    """
+    values = [float(x) for x in values]
+    step = max(1, _STACK_BYTES // (16 * family.dim**2))
+    for i in range(0, len(values), step):
+        xs = values[i:i + step]
+        H = family.stack(vary, xs)
+        try:
+            vals = eigenvalues(H)
+        except SpectralError:
+            for x, h in zip(xs, H):
+                eigenvalues(h, context=context(x))
+            raise
+        yield xs, vals, np.maximum(1.0, np.abs(H).max(axis=(1, 2))).tolist()
+
+
+def _context(params: ModelParams) -> str:
+    return (f"(N={params.particles}, gamma={float(params.gamma)}, "
+            f"v={float(params.v)}, c={float(params.c)})")
+
+
+def _family_spectra(family, vary: str, values) -> list:
+    """One Spectrum per value of ``vary``."""
+    at = lambda x: replace(family.params, **{vary: x})
+    return [
+        Spectrum(params=at(x), eigenvalues=ev, scale=scale)
+        for block in stacked_spectra(family, vary, values, lambda x: _context(at(x)))
+        for x, ev, scale in zip(*block)
+    ]
 
 
 def sweep(params: ModelParams, vary: str, grid) -> list:
     """One Spectrum per grid point of gamma or c; points are independent."""
     if vary not in ("gamma", "c"):
         raise ValueError("vary must be 'gamma' or 'c'")
-    return [_spectrum_at(replace(params, **{vary: float(x)})) for x in grid]
+    return _family_spectra(build_generalized_hamiltonian(params, "orthonormal").family, vary, grid)
 
 
 def optimal_match_distance(a, b) -> float:
@@ -234,7 +272,8 @@ def matched_sweep(params: ModelParams, vary: str, grid, max_levels: int = 12,
     in the final matching.
     """
     if evaluate is None:
-        evaluate = lambda x: _spectrum_at(replace(params, **{vary: x}))
+        family = build_generalized_hamiltonian(params, "orthonormal").family
+        evaluate = lambda x: _family_spectra(family, vary, [x])[0]
     grid = sorted(float(g) for g in grid)
     if len(grid) < 2:
         raise ValueError("refinement needs at least two grid points")

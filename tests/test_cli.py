@@ -237,6 +237,15 @@ class TestExitCodes:
         assert main(["ep-map", "--particles", "5", "--c", "0.02:0.02:1",
                      "--format", "text"]) == 1
 
+    def test_ep_map_rejects_nonpositive_c_grid(self, capsys):
+        assert main(["ep-map", "--particles", "2", "--c", "0:1:3"]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+
+    @pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "inf"])
+    def test_ep_map_rejects_bad_tol(self, tol, capsys):
+        assert main(["ep-map", "--particles", "2", "--c", "0.1:0.1:1", f"--tol={tol}"]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+
     def test_charpoly_rejects_format(self):
         assert main(["charpoly", "--particles", "3", "--gamma", "1", "--format", "json"]) == 1
 

@@ -1,8 +1,11 @@
 """Exceptional point location, the mother EP, and strong-coupling formulas."""
 
+import math
+
 import numpy as np
 import pytest
 
+from epspectra import ep_locator
 from epspectra.ep_locator import (
     EPLocationError,
     complex_pair_count,
@@ -13,6 +16,7 @@ from epspectra.ep_locator import (
     strong_coupling_validation,
     width_split_heuristic,
 )
+from epspectra.operators import UsageError
 
 
 class TestPairCount:
@@ -25,6 +29,71 @@ class TestPairCount:
 
     def test_partially_broken_with_interaction(self):
         assert complex_pair_count(1.0, particles=11, v=1.0, c=0.1 / 11) == 4
+
+
+class TestStackedScan:
+    # the coarse scan counts in stacked eigensolves; each count must equal
+    # the one-point count, including the exact routes
+
+    @staticmethod
+    def _record_exact(monkeypatch):
+        seen = []
+        original = ep_locator._exact_count
+
+        def exact_count(particles, gamma, v, c, tol):
+            seen.append(gamma)
+            return original(particles, gamma, v, c, tol)
+
+        monkeypatch.setattr(ep_locator, "_exact_count", exact_count)
+        return seen
+
+    @pytest.mark.parametrize("c", [0.1 / 11, 0.0])
+    def test_scan_grid_matches_point_counts(self, c, monkeypatch):
+        seen = self._record_exact(monkeypatch)
+        grid = np.linspace(0.0, 7.0, 512).tolist()
+        stacked = ep_locator._pair_count_fn(11, 1.0, c).many(grid)
+        assert len(seen) == (512 if c == 0.0 else 0)  # c = 0 counts exactly only
+        assert stacked == [complex_pair_count(g, particles=11, v=1.0, c=c) for g in grid]
+
+    def test_classification_fallback_inside_a_stack(self, monkeypatch):
+        # README grid, c = 0.004: the dense pairing fails at this gamma, met
+        # while bisecting the first EP, so the exact route counts it
+        seen = self._record_exact(monkeypatch)
+        gamma = 0.9407173052226027
+        grid = sorted(np.linspace(0.0, 7.0, 512).tolist() + [gamma])
+        stacked = ep_locator._pair_count_fn(11, 1.0, 0.004).many(grid)
+        assert seen == [gamma]
+        assert stacked == [complex_pair_count(g, particles=11, v=1.0, c=0.004) for g in grid]
+
+
+class TestBisectionTolerance:
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+    def test_refused_before_any_count(self, tol, monkeypatch):
+        def no_counting(*args, **kwargs):
+            raise AssertionError("counted before checking tol")
+
+        monkeypatch.setattr(ep_locator, "_pair_count_fn", no_counting)
+        with pytest.raises(UsageError):
+            locate_eps(2, 1.0, 0.1, tol=tol)
+        with pytest.raises(UsageError):
+            width_split_heuristic(2, 1.0, 0.1, tol=tol)
+        with pytest.raises(UsageError):
+            ep_map(2, 1.0, [0.1], tol=tol)
+
+    def test_bisection_stops_at_adjacent_floats(self):
+        calls = []
+
+        def count(gamma):
+            calls.append(gamma)
+            assert len(calls) < 200, "bisection did not stop"
+            return int(gamma > 0.3)
+
+        (rec,) = ep_locator._locate_transitions(
+            count, 0.0, 1.0, 0, 1, 1e-300, 48, "pair-count-bisection",
+            {"c": 0.1, "v": 1.0, "particles": 2})
+        # the bracket is one float step wide, around the jump at 0.3
+        assert rec.bracket_width == np.spacing(0.3)
+        assert abs(rec.gamma - 0.3) <= np.spacing(0.3)
 
 
 class TestLocateEps:
@@ -114,6 +183,8 @@ class TestEPMap:
     def test_positive_grid_required(self):
         with pytest.raises(ValueError):
             ep_map(5, 1.0, [0.0, 0.1])
+        with pytest.raises(UsageError):
+            ep_map(5, 1.0, [0.1, -0.1])
 
 
 class TestMotherEP:

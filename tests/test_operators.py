@@ -6,7 +6,9 @@ import pytest
 from epspectra.exact_poly import GaussianRational, ParamPoly, rat
 from epspectra.operators import (
     AngularMomentumRep,
+    HamiltonianFamily,
     ModelParams,
+    OperatorMatrix,
     UsageError,
     build_cartesian,
     build_generalized_hamiltonian,
@@ -146,6 +148,41 @@ class TestHamiltonian:
                 assert H.entries == ref.entries
                 assert H.param == ("c" if c is None else None)
 
+    @pytest.mark.parametrize("v", [1.0, 1.5, -2 / 7])
+    def test_orthonormal_build_matches_ladder_composition(self, v):
+        # byte for byte, so signed zeros count: the family writes the
+        # diagonal onto the 2 v L_x it built once, as the composition of
+        # the ladder builds did for every point (kept here as the oracle)
+        values = [0.0, 0.1 / 11, 0.83, 1.0, 3.7]
+
+        def composed(N, k, gamma, c):
+            lz = np.arange(N + 1) - N / 2.0
+            H = 2.0 * v * build_cartesian(AngularMomentumRep(N), "x").array
+            H[np.diag_indices(N + 1)] += -2j * gamma * lz + 2.0 * c * lz**k
+            return H.tobytes()
+
+        for N in range(1, 13):
+            for k in (1, 2, 3):
+                for fixed in values:
+                    family = HamiltonianFamily(
+                        ModelParams(particles=N, gamma=fixed, v=v, c=fixed, pert_power=k))
+                    for x, H in zip(values, family.stack("gamma", values)):
+                        assert H.tobytes() == composed(N, k, x, fixed)
+                    for x, H in zip(values, family.stack("c", values)):
+                        assert H.tobytes() == composed(N, k, fixed, x)
+                    one = build_generalized_hamiltonian(
+                        ModelParams(particles=N, gamma=fixed, v=v, c=0.0, pert_power=k))
+                    assert one.array.tobytes() == composed(N, k, fixed, 0.0)
+                    assert one.family.stack("gamma", [fixed])[0].tobytes() == one.array.tobytes()
+
+    def test_family_needs_fixed_c_and_a_known_parameter(self):
+        with pytest.raises(UsageError):
+            HamiltonianFamily(ModelParams(particles=3, gamma=1, v=1, c=None))
+        family = HamiltonianFamily(ModelParams(particles=3, gamma=1, v=1, c=0.1))
+        with pytest.raises(ValueError):
+            family.stack("v", [1.0])
+        assert family.stack("gamma", []).shape == (0, 4, 4)
+
     def test_formal_c_requires_monomial(self):
         with pytest.raises(UsageError):
             build_hamiltonian(ModelParams(particles=3, gamma=1, v=1, c=None), "orthonormal")
@@ -248,6 +285,16 @@ class TestMotherEPNilpotency:
         H = build_hamiltonian(ModelParams(particles=N, gamma=v, v=v, c=0), "monomial")
         assert not H.power(N).is_zero()
         assert H.power(N + 1).is_zero()
+
+    def test_power_is_repeated_matmul(self):
+        H = build_hamiltonian(ModelParams(particles=4, gamma=rat("1/3"), v=1, c=rat("1/7")),
+                              "monomial")
+        expected = OperatorMatrix.exact_identity(H.dim)
+        for k in range(5):
+            assert H.power(k).entries == expected.entries
+            expected = expected.matmul(H)
+        with pytest.raises(ValueError):
+            H.power(-1)
 
     def test_n1_explicit(self):
         H = build_hamiltonian(ModelParams(particles=1, gamma=1, v=1, c=0), "monomial")

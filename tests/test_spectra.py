@@ -73,6 +73,24 @@ class TestEigenvalues:
         with pytest.raises(SpectralError):
             eigenvalues(bad)
 
+    def test_sweep_stacks_match_one_point_solves(self):
+        # N=40 puts 38 matrices in one 1 MiB block, so 100 points take three
+        # stacked solves; each spectrum keeps the bits of its own solve
+        params = ModelParams(particles=40, gamma=0.0, v=1.0, c=0.0025, pert_power=3)
+        grid = np.linspace(0.0, 1.5, 100)
+        swept = sweep(params, "gamma", grid)
+        for g, spec in zip(grid, swept):
+            one = spectra.build_generalized_hamiltonian(replace(params, gamma=float(g)))
+            assert spec.params.gamma == g
+            assert spec.eigenvalues.tobytes() == eigenvalues(one).tobytes()
+            assert spec.scale == max(1.0, one.max_abs())
+
+    def test_stack_failure_names_its_point(self):
+        params = ModelParams(particles=3, gamma=0.0, v=1.0, c=0.1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SpectralError, match=r"gamma=1e\+308"):
+                sweep(params, "gamma", [0.0, 1.0, 1e308])
+
     def test_deterministic_ordering(self):
         H = float_hamiltonian(9, 1.2, 1.0, 0.05)
         a = eigenvalues(H)
@@ -180,7 +198,7 @@ class TestSweepAndMatching:
 
         def evaluate(x):
             assert x not in evaluated
-            evaluated[x] = spectra._spectrum_at(replace(params, c=x))
+            evaluated[x] = spectra.sweep(params, "c", [x])[0]
             return evaluated[x]
 
         trajectories, unresolved = matched_sweep(
