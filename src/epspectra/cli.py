@@ -17,7 +17,7 @@ import numpy as np
 
 from . import acceptance, ep_locator, newton_polygon, spectra
 from ._roots import RootFindingError
-from .exact_poly import charpoly_of_tridiagonal, parse_exact_decimal, rat
+from .exact_poly import charpoly_of_tridiagonal, rat
 from .operators import ModelParams, UsageError, build_generalized_hamiltonian
 
 __all__ = ["main"]
@@ -64,11 +64,10 @@ def parse_range(text: str) -> RangeSpec:
     if len(parts) != 3:
         raise _CliUsageError(f"range must be min:max:steps[:log], got {text!r}")
     try:
-        lo = float(parse_exact_decimal(parts[0]))
-        hi = float(parse_exact_decimal(parts[1]))
         steps = int(parts[2])
     except ValueError as exc:
         raise _CliUsageError(str(exc))
+    lo, hi = _float(parts[0]), _float(parts[1])
     if steps < 1:
         raise _CliUsageError("steps must be >= 1")
     if steps > 1 and not lo < hi:
@@ -83,6 +82,14 @@ def _exact(text: str):
         return rat(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise _CliUsageError(f"not an exact number: {text!r} ({exc})")
+
+
+def _float(text: str) -> float:
+    """The float nearest an exact-number argument; usage error if it overflows."""
+    value = _exact(text)
+    if abs(value) > sys.float_info.max:
+        raise _CliUsageError(f"{text!r} is too large for a float")
+    return float(value)
 
 
 def _write(path, text):
@@ -122,18 +129,14 @@ def _json_doc(obj) -> str:
 
 def cmd_spectrum(args) -> int:
     rng = parse_range(args.gamma)
-    params = ModelParams(
-        particles=args.particles,
-        gamma=0.0,
-        v=float(_exact(args.v)),
-        c=float(_exact(args.c)),
-        pert_power=args.pert_power,
-    )
+    v, c = _float(args.v), _float(args.c)
+    params = ModelParams(particles=args.particles, gamma=0.0, v=v, c=c,
+                         pert_power=args.pert_power)
     result = spectra.sweep(params, "gamma", rng.grid())
     meta = {
         "N": args.particles,
-        "v": float(_exact(args.v)),
-        "c": float(_exact(args.c)),
+        "v": v,
+        "c": c,
         "vary": "gamma",
         "grid": {"min": rng.lo, "max": rng.hi, "steps": rng.steps, "spacing": rng.spacing},
     }
@@ -143,20 +146,16 @@ def cmd_spectrum(args) -> int:
 
 def cmd_trajectory(args) -> int:
     rng = parse_range(args.c)
-    params = ModelParams(
-        particles=args.particles,
-        gamma=float(_exact(args.gamma)),
-        v=float(_exact(args.v)),
-        c=0.0,
-        pert_power=args.pert_power,
-    )
+    v, gamma = _float(args.v), _float(args.gamma)
+    params = ModelParams(particles=args.particles, gamma=gamma, v=v, c=0.0,
+                         pert_power=args.pert_power)
     grid = rng.grid()
     if len(grid) == 1:
         result = spectra.sweep(params, "c", grid)
         meta = {
             "N": args.particles,
-            "v": float(_exact(args.v)),
-            "gamma": float(_exact(args.gamma)),
+            "v": v,
+            "gamma": gamma,
             "vary": "c",
             "grid": {"min": rng.lo, "max": rng.hi, "steps": rng.steps, "spacing": rng.spacing},
         }
@@ -177,8 +176,8 @@ def cmd_trajectory(args) -> int:
         doc = {
             "metadata": {
                 "N": args.particles,
-                "v": float(_exact(args.v)),
-                "gamma": float(_exact(args.gamma)),
+                "v": v,
+                "gamma": gamma,
                 "grid": {"min": rng.lo, "max": rng.hi, "steps": rng.steps, "spacing": rng.spacing},
                 "unresolved_steps": [list(u) for u in unresolved],
             },
@@ -333,21 +332,14 @@ def cmd_newton(args) -> int:
 
 def cmd_ep_map(args) -> int:
     rng = parse_range(args.c)
-    gamma_range = None
-    if args.gamma_max is not None:
-        gamma_range = (0.0, float(_exact(args.gamma_max)))
-    emap = ep_locator.ep_map(
-        args.particles,
-        float(_exact(args.v)),
-        rng.grid(),
-        gamma_range=gamma_range,
-        tol=args.tol,
-    )
+    v = _float(args.v)
+    gamma_range = None if args.gamma_max is None else (0.0, _float(args.gamma_max))
+    emap = ep_locator.ep_map(args.particles, v, rng.grid(), gamma_range=gamma_range, tol=args.tol)
     if args.format == "json":
         doc = {
             "metadata": {
                 "N": args.particles,
-                "v": float(_exact(args.v)),
+                "v": v,
                 "tol": args.tol,
                 "grid": {"min": rng.lo, "max": rng.hi, "steps": rng.steps, "spacing": rng.spacing},
             },

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectra
-from .exact_poly import rat
+from .exact_poly import charpoly_of_tridiagonal, rat
 from .operators import ModelParams, UsageError, build_generalized_hamiltonian
 
 __all__ = [
@@ -64,14 +64,6 @@ class EPMap:
     v: float
     c_values: list
     records: list  # one list of EPRecord per c value
-
-    def curve(self, index: int):
-        """(c, gamma) pairs of the index-th smallest EP across the map."""
-        pts = []
-        for c, recs in zip(self.c_values, self.records):
-            if index < len(recs):
-                pts.append((c, recs[index].gamma))
-        return pts
 
 
 @dataclass(frozen=True)
@@ -141,9 +133,19 @@ def complex_pair_count(gamma, *, particles, v=1.0, c=0.0) -> int:
     return _pair_count_fn(particles, v, c)(gamma)
 
 
-def _check_tol(tol):
+def _search_range(particles, v, gamma_range, tol):
+    """(lo, hi) to scan, by default (0, |v| (N+3)/2).
+
+    UsageError unless lo < hi are finite and tol is finite and > 0.
+    """
     if not (math.isfinite(tol) and tol > 0):
         raise UsageError(f"bisection tolerance must be finite and > 0, got {tol!r}")
+    if gamma_range is None:
+        gamma_range = (0.0, abs(float(v)) * (particles + 3) / 2.0)
+    lo, hi = (float(g) for g in gamma_range)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise UsageError(f"gamma range must be finite with lo < hi, got {gamma_range!r}")
+    return lo, hi
 
 
 def _locate_transitions(count, lo, hi, clo, chi, tol, max_splits, method, meta):
@@ -187,8 +189,11 @@ def _locate_transitions(count, lo, hi, clo, chi, tol, max_splits, method, meta):
     return records
 
 
-def _scan_and_locate(count, gamma_range, tol, coarse_points, max_splits, method, meta):
-    lo, hi = gamma_range
+def _scan_and_locate(particles, v, c, gamma_range, tol, coarse_points, max_splits, method,
+                     imag_tol=None):
+    lo, hi = _search_range(particles, v, gamma_range, tol)
+    count = _pair_count_fn(particles, v, c, imag_tol)
+    meta = {"c": float(c), "v": float(v), "particles": particles}
     grid = np.linspace(lo, hi, coarse_points).tolist()
     counts = count.many(grid)
     records = []
@@ -210,8 +215,9 @@ def locate_eps(particles, v, c, gamma_range=None, tol=1e-9, coarse_points=512,
 
     Scans the conjugate-pair count on a coarse grid and bisects every change
     to the requested bracket width. Cells holding several transitions are
-    split recursively. The default gamma range [0, v (N+3)/2] covers the
-    strong-coupling asymptote v (N+1)/2 with margin. For c = 0 use
+    split recursively. The default gamma range [0, |v| (N+3)/2] covers the
+    strong-coupling asymptote |v| (N+1)/2 with margin; a given range must be
+    finite with lo < hi (UsageError otherwise). For c = 0 use
     mother_ep_check instead (the degeneracy there has order N+1).
 
     The counter builds the float Hamiltonian once for (N, v, c); the coarse
@@ -224,14 +230,8 @@ def locate_eps(particles, v, c, gamma_range=None, tol=1e-9, coarse_points=512,
     reproducibility band of order 1e-6 from solver noise on the splitting
     at the classification threshold.
     """
-    _check_tol(tol)
-    if gamma_range is None:
-        gamma_range = (0.0, float(v) * (particles + 3) / 2.0)
-    count = _pair_count_fn(particles, v, c)
-    meta = {"c": float(c), "v": float(v), "particles": particles}
-    return _scan_and_locate(
-        count, gamma_range, tol, coarse_points, max_splits, "pair-count-bisection", meta
-    )
+    return _scan_and_locate(particles, v, c, gamma_range, tol, coarse_points, max_splits,
+                            "pair-count-bisection")
 
 
 def width_split_heuristic(particles, v, c, threshold=1e-4, gamma_range=None,
@@ -245,20 +245,14 @@ def width_split_heuristic(particles, v, c, threshold=1e-4, gamma_range=None,
     relative to locate_eps by the square-root splitting law, well inside
     1e-3 for paper-scale parameters.
     """
-    _check_tol(tol)
-    if gamma_range is None:
-        gamma_range = (0.0, float(v) * (particles + 3) / 2.0)
-    count = _pair_count_fn(particles, v, c, imag_tol=threshold / 2.0)
-    meta = {"c": float(c), "v": float(v), "particles": particles}
-    return _scan_and_locate(
-        count, gamma_range, tol, coarse_points, max_splits, "width-split-heuristic", meta
-    )
+    return _scan_and_locate(particles, v, c, gamma_range, tol, coarse_points, max_splits,
+                            "width-split-heuristic", imag_tol=threshold / 2.0)
 
 
 def ep_map(particles, v, c_grid, gamma_range=None, tol=1e-9, coarse_points=512,
            max_splits=48) -> EPMap:
-    """locate_eps per c; curves are assembled by ascending-gamma index."""
-    _check_tol(tol)
+    """locate_eps per c; the i-th EP of each c lies on the i-th curve."""
+    gamma_range = _search_range(particles, v, gamma_range, tol)
     c_values = [float(c) for c in c_grid]
     if any(c <= 0 for c in c_values):
         raise UsageError("ep_map needs a positive c grid (the c=0 point is the mother EP)")
@@ -293,24 +287,35 @@ class MotherEPReport:
         )
 
 
+def _jordan_structure(H):
+    """(H^M == 0, H^(M-1) != 0) for an exact tridiagonal M x M matrix H.
+
+    H^M == 0 exactly when the characteristic polynomial is lambda^M. With
+    every off-diagonal product nonzero H is irreducible, so its minimal
+    polynomial is lambda^M too and H^(M-1) != 0; a reducible nilpotent H
+    gives False even where H^(M-1) != 0.
+    """
+    nilpotent = not any(charpoly_of_tridiagonal(H).monic_coefficients()[:-1])
+    return nilpotent, not nilpotent or all(
+        H.entries[j - 1][j] * H.entries[j][j - 1] for j in range(1, H.dim))
+
+
 def mother_ep_check(particles, v=1) -> MotherEPReport:
     """Verify the order-(N+1) EP at gamma = v, c = 0.
 
-    Exact check (authoritative): the monomial-basis Hamiltonian satisfies
-    H^(N+1) = 0 with H^N != 0, i.e. it is one full Jordan block. Floating
-    check: all eigenvalue moduli vanish to 1e-6 * max|H|; the eigenvalues
-    come from the exact characteristic polynomial (identically lambda^(N+1)
-    here, so its companion roots are exact zeros). Moduli from the dense
-    solver are reported for comparison but not gated: an (N+1)-fold root
-    only admits accuracy ~ eps^(1/(N+1)) on that route.
+    Exact check (authoritative, by _jordan_structure): the monomial-basis
+    Hamiltonian satisfies H^(N+1) = 0 with H^N != 0, i.e. it is one full
+    Jordan block. Floating check: all eigenvalue moduli vanish to
+    1e-6 * max|H|; the eigenvalues come from the exact characteristic
+    polynomial (identically lambda^(N+1) here, so its companion roots are
+    exact zeros). Moduli from the dense solver are reported for comparison
+    but not gated: an (N+1)-fold root only admits accuracy ~ eps^(1/(N+1))
+    on that route.
     """
     vr = rat(v)
     params = ModelParams(particles=particles, gamma=vr, v=vr, c=0)
     H = build_generalized_hamiltonian(params, "monomial")
-    p_n = H.power(particles)
-    p_n1 = p_n.matmul(H)
-    nilpotent = p_n1.is_zero()
-    nonzero = not p_n.is_zero()
+    nilpotent, nonzero = _jordan_structure(H)
     if not (nilpotent and nonzero):
         raise NilpotencyError(
             f"mother EP structure violated at N={particles}, v={v}: "

@@ -206,14 +206,15 @@ def optimal_match_distance(a, b) -> float:
 
 
 _JUMP_RATIO = 10.0
+_SHRINK_RATIO = 0.6  # between smooth (0.5) and square-root (0.71) jump shrinkage
 
 
 def _match_step(prev, cur, jump_ratio):
     """Order ``cur`` to continue ``prev`` by minimum-total-distance assignment.
 
-    Returns (ordered, flagged): flagged when the largest jump exceeds
-    ``jump_ratio`` times the median jump. The jumps, hence the flag, do not
-    depend on the order of ``prev``.
+    Returns (ordered, flagged, jump): jump is the largest matched distance,
+    flagged when it exceeds ``jump_ratio`` times the median jump. The jumps,
+    hence the flag, do not depend on the order of ``prev``.
     """
     cost = np.abs(prev[:, None] - cur[None, :])
     r, c = linear_sum_assignment(cost)
@@ -221,7 +222,7 @@ def _match_step(prev, cur, jump_ratio):
     ordered[r] = cur[c]
     jumps = np.abs(ordered - prev)
     floor = 1e-14 * max(1.0, np.abs(cur).max())
-    return ordered, jumps.max() > jump_ratio * max(np.median(jumps), floor)
+    return ordered, jumps.max() > jump_ratio * max(np.median(jumps), floor), jumps.max()
 
 
 def match_branches(spectra, vary: str = "gamma", jump_ratio: float = _JUMP_RATIO):
@@ -238,7 +239,7 @@ def match_branches(spectra, vary: str = "gamma", jump_ratio: float = _JUMP_RATIO
     rows = [spectra[0].eigenvalues.copy()]
     flagged = []
     for i, spec in enumerate(spectra[1:]):
-        ordered, jumped = _match_step(rows[-1], spec.eigenvalues, jump_ratio)
+        ordered, jumped, _ = _match_step(rows[-1], spec.eigenvalues, jump_ratio)
         if jumped:
             flagged.append(i)
         rows.append(ordered)
@@ -254,22 +255,21 @@ def matched_sweep(params: ModelParams, vary: str, grid, max_levels: int = 12,
                   evaluate=None):
     """Sweep with automatic dyadic refinement of flagged steps.
 
-    Each grid step is refined on its own: a flagged piece is halved until
-    its flag clears or it is no wider than 2^-max_levels of the original
-    step. A flag depends only on the spectra at the piece's two ends, so
-    the sweep is matched once, at the end.
-
-    A genuine branch-point crossing never clears: its square-root jump
-    shrinks slower than the step, so the ratio grows under refinement. What
-    refinement buys is localization: the offending interval is narrowed to
-    the floor and reported as unresolved, ready to hand to the EP locator.
+    Each grid step is refined on its own. A flagged grid step is halved;
+    a flagged half is halved again only while its largest matched jump
+    exceeds _SHRINK_RATIO (0.6) times that of the piece it came from, and
+    while it is wider than 2^-max_levels of the step. Fast smooth motion
+    halves its jump with the step and stops there; a square-root branch
+    point shrinks it only by 1/sqrt(2) and is followed to the floor. Flags
+    depend only on a piece's two end spectra, so the sweep is matched once.
 
     ``evaluate`` maps a parameter value to a Spectrum and defaults to the
     model Hamiltonian at ``params`` with ``vary`` replaced; it is called
     once per returned point.
 
-    Returns (trajectories, unresolved_intervals): the steps still flagged
-    in the final matching.
+    Returns (trajectories, unresolved_intervals): the floor pieces still
+    flagged and square-root-like, one per branch point crossed inside a
+    flagged step, ready to hand to the EP locator.
     """
     if evaluate is None:
         family = build_generalized_hamiltonian(params, "orthonormal").family
@@ -278,22 +278,27 @@ def matched_sweep(params: ModelParams, vary: str, grid, max_levels: int = 12,
     if len(grid) < 2:
         raise ValueError("refinement needs at least two grid points")
     points, spectra = [grid[0]], [evaluate(grid[0])]
+    unresolved = []
     for lo, hi in zip(grid, grid[1:]):
         floor = (hi - lo) / 2**max_levels
-        # right ends still to reach, nearest on top; points[-1] is the left end
-        pending = [(hi, evaluate(hi))]
+        # (right end, spectrum, parent jump) nearest on top; points[-1] is the left end
+        pending = [(hi, evaluate(hi), 0.0)]  # a grid step has no parent: halve if flagged
         while pending:
-            x, spec = pending[-1]
-            if (x - points[-1] > floor
-                    and _match_step(spectra[-1].eigenvalues, spec.eigenvalues, _JUMP_RATIO)[1]):
-                mid = (points[-1] + x) / 2.0
-                pending.append((mid, evaluate(mid)))
-            else:
-                pending.pop()
-                points.append(x)
-                spectra.append(spec)
-    trajectories, flagged = match_branches(spectra, vary)
-    return trajectories, [(points[i], points[i + 1]) for i in flagged]
+            x, spec, parent = pending[-1]
+            _, flagged, jump = _match_step(spectra[-1].eigenvalues, spec.eigenvalues,
+                                           _JUMP_RATIO)
+            if flagged and jump > _SHRINK_RATIO * parent:
+                if x - points[-1] > floor:
+                    mid = (points[-1] + x) / 2.0
+                    pending[-1] = (x, spec, jump)
+                    pending.append((mid, evaluate(mid), jump))
+                    continue
+                unresolved.append((points[-1], x))
+            pending.pop()
+            points.append(x)
+            spectra.append(spec)
+    trajectories, _ = match_branches(spectra, vary)
+    return trajectories, unresolved
 
 
 def classify(spectrum, imag_tol=None, pair_tol=None) -> Classification:

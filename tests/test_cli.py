@@ -246,6 +246,28 @@ class TestExitCodes:
         assert main(["ep-map", "--particles", "2", "--c", "0.1:0.1:1", f"--tol={tol}"]) == 1
         assert capsys.readouterr().err.startswith("usage error:")
 
+    @pytest.mark.parametrize("gamma_max", ["-3", "0"])
+    def test_ep_map_rejects_nonpositive_gamma_max(self, gamma_max, capsys):
+        # -3 used to print unrefined cell midpoints, 0 no EPs, both with exit 0
+        assert main(["ep-map", "-N", "3", "--c", "0.1:0.1:1", f"--gamma-max={gamma_max}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "-N", "3", "--gamma", "0:1:3", "--v", "1e400"],
+        ["spectrum", "-N", "3", "--gamma", "0:1:3", "--c", "1e400"],
+        ["spectrum", "-N", "3", "--gamma", "0:1e400:3"],
+        ["spectrum", "-N", "3", "--gamma=-1e400:1:3"],
+        ["trajectory", "-N", "3", "--gamma", "1e400", "--c", "0.1:1:3"],
+        ["trajectory", "-N", "3", "--gamma", "1", "--c", "0.1:1e400:3:log"],
+        ["ep-map", "-N", "3", "--c", "0.1:0.1:1", "--gamma-max", "1e400"],
+        ["ep-map", "-N", "3", "--c", "0.1:0.1:1", "--v", "1e400"],
+    ])
+    def test_too_large_for_a_float(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage error:")
+
     def test_charpoly_rejects_format(self):
         assert main(["charpoly", "--particles", "3", "--gamma", "1", "--format", "json"]) == 1
 

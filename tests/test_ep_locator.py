@@ -16,7 +16,8 @@ from epspectra.ep_locator import (
     strong_coupling_validation,
     width_split_heuristic,
 )
-from epspectra.operators import UsageError
+from epspectra.exact_poly import rat
+from epspectra.operators import ModelParams, OperatorMatrix, UsageError, build_hamiltonian
 
 
 class TestPairCount:
@@ -67,18 +68,33 @@ class TestStackedScan:
 
 
 class TestBisectionTolerance:
-    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
-    def test_refused_before_any_count(self, tol, monkeypatch):
-        def no_counting(*args, **kwargs):
-            raise AssertionError("counted before checking tol")
+    @staticmethod
+    def _refused_before_any_count(monkeypatch, **kwargs):
+        def no_counting(*args, **kw):
+            raise AssertionError("counted before checking the arguments")
 
         monkeypatch.setattr(ep_locator, "_pair_count_fn", no_counting)
         with pytest.raises(UsageError):
-            locate_eps(2, 1.0, 0.1, tol=tol)
+            locate_eps(2, 1.0, 0.1, **kwargs)
         with pytest.raises(UsageError):
-            width_split_heuristic(2, 1.0, 0.1, tol=tol)
+            width_split_heuristic(2, 1.0, 0.1, **kwargs)
         with pytest.raises(UsageError):
-            ep_map(2, 1.0, [0.1], tol=tol)
+            ep_map(2, 1.0, [0.1], **kwargs)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+    def test_refused_before_any_count(self, tol, monkeypatch):
+        self._refused_before_any_count(monkeypatch, tol=tol)
+
+    @pytest.mark.parametrize("gamma_range", [(0.0, -3.0), (0.0, 0.0), (0.0, math.inf),
+                                             (math.nan, 1.0)])
+    def test_bad_gamma_range_refused_before_any_count(self, gamma_range, monkeypatch):
+        # a range with hi <= lo used to return unrefined coarse-cell midpoints
+        self._refused_before_any_count(monkeypatch, gamma_range=gamma_range)
+
+    def test_default_range_for_negative_v(self):
+        # H(-v) is similar to H(v), so both search [0, |v| (N+3)/2]
+        assert ([r.gamma for r in locate_eps(3, -1.0, 0.1)]
+                == pytest.approx([r.gamma for r in locate_eps(3, 1.0, 0.1)], abs=1e-8))
 
     def test_bisection_stops_at_adjacent_floats(self):
         calls = []
@@ -157,9 +173,9 @@ class TestEPMap:
         assert all(len(recs) == 6 for recs in emap.records)
         # all but the top curve decrease toward gamma = 0 at large c
         for index in range(5):
-            curve = [g for _, g in emap.curve(index)]
+            curve = [recs[index].gamma for recs in emap.records]
             assert curve[0] > curve[-1]
-        top = [g for _, g in emap.curve(5)]
+        top = [recs[5].gamma for recs in emap.records]
         assert top[-1] > top[0]
         assert top[-1] < 6.5  # heading toward the v (N+1)/2 = 6 asymptote
 
@@ -170,7 +186,7 @@ class TestEPMap:
         # stay tiny there
         grid = np.geomspace(0.1 / 11, 80.0 / 11, 6)
         emap = ep_map(11, 1.0, grid)
-        first = [g for _, g in emap.curve(0)]
+        first = [recs[0].gamma for recs in emap.records]
         for a, b in zip(first, first[1:]):
             assert b < a or b < 1e-3
         assert first[0] > 0.7 and first[-1] < 1e-3
@@ -194,6 +210,20 @@ class TestMotherEP:
         assert report.passed
         assert report.nilpotent_exact and report.power_n_nonzero
         assert report.max_modulus_charpoly_route <= report.modulus_tolerance
+
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_jordan_structure_agrees_with_powers(self, N):
+        # the charpoly decision against H^(N+1) and H^N by exact matmul, at
+        # the mother EP and off it (gamma != v, with and without c)
+        for gamma, c in ((1, 0), (rat("1/2"), 0), (1, rat("1/7"))):
+            H = build_hamiltonian(ModelParams(particles=N, gamma=gamma, v=1, c=c), "monomial")
+            expected = (H.power(N + 1).is_zero(), not H.power(N).is_zero())
+            assert ep_locator._jordan_structure(H) == expected
+            assert expected == ((True, True) if (gamma, c) == (1, 0) else (False, True))
+        # reducible and nilpotent: the off-diagonal test says H^N != 0 is unproven
+        zero = OperatorMatrix.exact_zeros(N + 1)
+        assert ep_locator._jordan_structure(zero) == (True, False) == (
+            zero.power(N + 1).is_zero(), not zero.power(N).is_zero())
 
     def test_dense_route_reported(self):
         report = mother_ep_check(11, 1)

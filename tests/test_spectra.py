@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from epspectra import spectra
+from epspectra import ep_locator, spectra
 from epspectra.exact_poly import Rational, rat
 from epspectra.operators import ModelParams, build_hamiltonian
 from epspectra.spectra import (
@@ -188,9 +188,49 @@ class TestSweepAndMatching:
         assert any(lo <= 0.0 <= hi for lo, hi in unresolved)
         assert all(hi - lo <= step / 2**6 * (1 + 1e-9) for lo, hi in unresolved)
 
+    def test_fast_smooth_branch_is_halved_once(self):
+        # one eigenvalue moves linearly 1000x faster than the rest: every
+        # step is flagged, but halving halves its jump, so each grid step is
+        # halved once and nothing is left unresolved
+        def evaluate(t):
+            vals = np.array([1000j * t, 4 + t, 5 + t, 6 + t, 7 + t, 8 + t])
+            return Spectrum(params=ModelParams(particles=5, gamma=t, v=1.0, c=0.0),
+                            eigenvalues=vals)
+
+        grid = np.linspace(0.0, 1.0, 5)
+        assert len(match_branches([evaluate(t) for t in grid])[1]) == 4
+        trajectories, unresolved = matched_sweep(
+            None, "gamma", grid, max_levels=6, evaluate=evaluate
+        )
+        assert list(trajectories[0].parameters) == list(np.linspace(0.0, 1.0, 9))
+        assert unresolved == []
+
+    def test_readme_trajectory_brackets_the_branch_point(self):
+        # trajectory -N 11 --gamma 0.9 --c 0.001:1:200:log crosses one
+        # second-order EP near c = 0.00213593; refinement follows it to the
+        # floor and reports that one bracket
+        params = ModelParams(particles=11, gamma=0.9, v=1.0, c=0.0)
+        grid = np.geomspace(0.001, 1, 200)
+        evaluated = []
+
+        def evaluate(x):
+            evaluated.append(x)
+            return spectra.sweep(params, "c", [x])[0]
+
+        _, unresolved = matched_sweep(params, "c", grid, evaluate=evaluate)
+        assert len(evaluated) <= 215
+        [(lo, hi)] = unresolved
+        i = np.searchsorted(grid, lo, side="right") - 1
+        assert hi - lo <= (grid[i + 1] - grid[i]) / 2**12
+        assert lo < 0.00213593 < hi
+        tol = 1e-7 * spectra.sweep(params, "c", [hi])[0].scale
+        counts = [ep_locator._exact_count(11, 0.9, 1.0, c, tol) for c in (lo, hi)]
+        assert abs(counts[1] - counts[0]) == 1
+
     def test_model_refinement_reaches_floor_step_by_step(self):
-        # N=11, gamma=0.9: the step holding c ~ 0.00215 stays flagged down to
-        # the floor (the README trajectory job refines it the same way)
+        # N=11, gamma=0.9: the step holding the branch point near
+        # c ~ 0.00213593 is refined down to the floor, its fast neighbours
+        # only once
         params = ModelParams(particles=11, gamma=0.9, v=1.0, c=0.0)
         grid = np.geomspace(0.002, 0.0023, 5)
         levels = 6
@@ -206,13 +246,11 @@ class TestSweepAndMatching:
         )
         points = list(trajectories[0].parameters)
         assert sorted(evaluated) == points  # one evaluation per returned point
-        assert len(points) > len(grid) and unresolved
-        _, flagged = match_branches([evaluated[x] for x in points], "c")
-        assert unresolved == [(points[i], points[i + 1]) for i in flagged]
-        steps = np.diff(grid)
-        for lo, hi in unresolved:
-            step = steps[np.searchsorted(grid, lo, side="right") - 1]
-            assert hi - lo <= step / 2**levels
+        assert len(points) > len(grid)
+        [(lo, hi)] = unresolved
+        assert lo < 0.00213593 < hi and hi == points[points.index(lo) + 1]
+        step = np.diff(grid)[np.searchsorted(grid, lo, side="right") - 1]
+        assert hi - lo <= step / 2**levels
         # refinement is local to each original step
         left, left_unresolved = matched_sweep(params, "c", grid[:3], max_levels=levels)
         right, right_unresolved = matched_sweep(params, "c", grid[2:], max_levels=levels)
