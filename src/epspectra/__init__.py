@@ -28,7 +28,6 @@ from .operators import (
     UsageError,
     build_cartesian,
     build_generalized_hamiltonian,
-    build_hamiltonian,
     build_ladder,
     build_rotated_hamiltonian,
     parity_matrix,
@@ -65,13 +64,11 @@ from .ep_locator import (
     EPMap,
     EPRecord,
     StrongCouplingPrediction,
-    complex_pair_count,
     ep_map,
     locate_eps,
     mother_ep_check,
     strong_coupling_predictions,
     strong_coupling_validation,
-    width_split_heuristic,
 )
 
 __version__ = "0.1.0"

@@ -13,12 +13,16 @@ __all__ = ["RootFindingError", "polynomial_roots"]
 
 
 class RootFindingError(RuntimeError):
-    def __init__(self, message, coefficients=None):
-        super().__init__(message)
-        self.coefficients = coefficients
+    """The roots of a polynomial could not be computed."""
 
 
-def polynomial_roots(coeffs, polish_iterations=30, rel_tol=1e-12):
+# Newton polishing stops after this many steps, or once every step is below
+# this relative size.
+_POLISH_ITERATIONS = 30
+_REL_TOL = 1e-12
+
+
+def polynomial_roots(coeffs):
     """All complex roots of sum_k coeffs[k] x^k (ascending coefficients).
 
     Companion-matrix eigenvalues seeded into Newton iteration on the
@@ -28,9 +32,9 @@ def polynomial_roots(coeffs, polish_iterations=30, rel_tol=1e-12):
     """
     c = np.asarray(coeffs, dtype=complex)
     if c.size == 0 or not np.any(c):
-        raise RootFindingError("zero polynomial has no defined roots", c)
+        raise RootFindingError("zero polynomial has no defined roots")
     if not np.all(np.isfinite(c)):
-        raise RootFindingError("non-finite polynomial coefficients", c)
+        raise RootFindingError("non-finite polynomial coefficients")
     # strip exactly-zero trailing (high-order) coefficients
     top = c.size - 1
     while top > 0 and c[top] == 0:
@@ -54,16 +58,16 @@ def polynomial_roots(coeffs, polish_iterations=30, rel_tol=1e-12):
     try:
         roots = np.linalg.eigvals(comp)
     except np.linalg.LinAlgError as exc:
-        raise RootFindingError(f"companion eigensolve failed: {exc}", c) from exc
+        raise RootFindingError(f"companion eigensolve failed: {exc}") from exc
     dc = cc[1:] * np.arange(1, m + 1)
     rev, drev = cc[::-1], dc[::-1]
-    for _ in range(polish_iterations):
+    for _ in range(_POLISH_ITERATIONS):
         val = np.polyval(rev, roots)
         der = np.polyval(drev, roots)
         step = np.where(der != 0, val / np.where(der != 0, der, 1), 0)
         roots = roots - step
-        if np.all(np.abs(step) <= rel_tol * np.maximum(1.0, np.abs(roots))):
+        if np.all(np.abs(step) <= _REL_TOL * np.maximum(1.0, np.abs(roots))):
             break
     if not np.all(np.isfinite(roots)):
-        raise RootFindingError("Newton polishing diverged", c)
+        raise RootFindingError("Newton polishing diverged")
     return np.concatenate([zero_roots, roots])

@@ -21,7 +21,7 @@ from .exact_poly import (
     rat,
     verify_trace_structure,
 )
-from .operators import ModelParams, build_hamiltonian, build_rotated_hamiltonian
+from .operators import ModelParams, build_generalized_hamiltonian, build_rotated_hamiltonian
 
 __all__ = ["CriterionResult", "CRITERIA", "run", "main_report"]
 
@@ -34,9 +34,9 @@ class CriterionResult:
     detail: str
 
 
-def _exact_c0_hamiltonian(N, gamma_rat, v_rat=Rational(1)):
-    params = ModelParams(particles=N, gamma=gamma_rat, v=v_rat, c=0)
-    return build_hamiltonian(params, "monomial")
+def _exact_c0_hamiltonian(N, gamma_rat):
+    params = ModelParams(particles=N, gamma=gamma_rat, v=1, c=0)
+    return build_generalized_hamiltonian(params, "monomial")
 
 
 # -- criteria -----------------------------------------------------------------
@@ -254,24 +254,25 @@ def criterion_krein_suite(tol_scale=1.0):
         gamma = rat(float(rng.uniform(0.0, 2.0)))
         c = rat(float(rng.uniform(0.0, 1.5 / N)))
         params = ModelParams(particles=N, gamma=gamma, v=1, c=c)
-        H = build_hamiltonian(params, "monomial")
+        H = build_generalized_hamiltonian(params, "monomial")
         scale = max(1.0, H.max_abs())
         tol = 1e-9 * scale * tol_scale
         ev = spectra.exact_spectrum(H)
         if spectra.optimal_match_distance(ev, np.conj(ev)) > tol:
             return False, f"trial {trial}: conjugation closure violated"
-        Hm = build_hamiltonian(
+        Hm = build_generalized_hamiltonian(
             ModelParams(particles=N, gamma=-gamma, v=1, c=c), "monomial"
         )
         if spectra.optimal_match_distance(ev, spectra.exact_spectrum(Hm)) > tol:
             return False, f"trial {trial}: gamma-sign symmetry violated"
-        H0 = build_hamiltonian(ModelParams(particles=N, gamma=gamma, v=1, c=0), "monomial")
+        H0 = build_generalized_hamiltonian(
+            ModelParams(particles=N, gamma=gamma, v=1, c=0), "monomial")
         ev0 = spectra.exact_spectrum(H0)
         if spectra.optimal_match_distance(ev0, -ev0) > tol:
             return False, f"trial {trial}: c=0 sign closure violated"
     # the extra symmetry must break at c != 0
     N = 11
-    Hc = build_hamiltonian(
+    Hc = build_generalized_hamiltonian(
         ModelParams(particles=N, gamma=rat("0.5"), v=1, c=rat("0.5") / N), "monomial"
     )
     evc = spectra.exact_spectrum(Hc)
@@ -282,14 +283,15 @@ def criterion_krein_suite(tol_scale=1.0):
 
 def criterion_classification(tol_scale=1.0):
     """Pair/real counts at gamma = 1 for N=11 (4+4 pairs) and N=5 (2+2)."""
-    H11 = build_hamiltonian(
+    H11 = build_generalized_hamiltonian(
         ModelParams(particles=11, gamma=1, v=1, c=rat("0.1") / 11), "monomial"
     )
     ev11 = spectra.exact_spectrum(H11)
     cls11 = spectra.classify(ev11, imag_tol=1e-9 * max(1.0, H11.max_abs()))
     if (cls11.real_count, cls11.conjugate_pair_count) != (4, 4):
         return False, f"N=11: {cls11.real_count} real + {cls11.conjugate_pair_count} pairs"
-    H5 = build_hamiltonian(ModelParams(particles=5, gamma=1, v=1, c=rat("0.1") / 5), "monomial")
+    H5 = build_generalized_hamiltonian(
+        ModelParams(particles=5, gamma=1, v=1, c=rat("0.1") / 5), "monomial")
     ev5 = spectra.exact_spectrum(H5)
     tol5 = 1e-9 * max(1.0, H5.max_abs())
     cls5 = spectra.classify(ev5, imag_tol=tol5)

@@ -27,13 +27,9 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-class _CliUsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse exits 2 by default; the CLI uses 1
-        raise _CliUsageError(message)
+        raise UsageError(message)
 
 
 @dataclass(frozen=True)
@@ -58,22 +54,22 @@ def parse_range(text: str) -> RangeSpec:
     spacing = "linear"
     if len(parts) == 4:
         if parts[3] != "log":
-            raise _CliUsageError(f"range suffix must be 'log', got {parts[3]!r}")
+            raise UsageError(f"range suffix must be 'log', got {parts[3]!r}")
         spacing = "log"
         parts = parts[:3]
     if len(parts) != 3:
-        raise _CliUsageError(f"range must be min:max:steps[:log], got {text!r}")
+        raise UsageError(f"range must be min:max:steps[:log], got {text!r}")
     try:
         steps = int(parts[2])
     except ValueError as exc:
-        raise _CliUsageError(str(exc))
+        raise UsageError(str(exc))
     lo, hi = _float(parts[0]), _float(parts[1])
     if steps < 1:
-        raise _CliUsageError("steps must be >= 1")
+        raise UsageError("steps must be >= 1")
     if steps > 1 and not lo < hi:
-        raise _CliUsageError("range needs min < max")
+        raise UsageError("range needs min < max")
     if spacing == "log" and lo <= 0:
-        raise _CliUsageError("log range needs min > 0")
+        raise UsageError("log range needs min > 0")
     return RangeSpec(lo=lo, hi=hi, steps=steps, spacing=spacing)
 
 
@@ -81,14 +77,14 @@ def _exact(text: str):
     try:
         return rat(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise _CliUsageError(f"not an exact number: {text!r} ({exc})")
+        raise UsageError(f"not an exact number: {text!r} ({exc})")
 
 
 def _float(text: str) -> float:
     """The float nearest an exact-number argument; usage error if it overflows."""
     value = _exact(text)
     if abs(value) > sys.float_info.max:
-        raise _CliUsageError(f"{text!r} is too large for a float")
+        raise UsageError(f"{text!r} is too large for a float")
     return float(value)
 
 
@@ -140,7 +136,7 @@ def cmd_spectrum(args) -> int:
         "vary": "gamma",
         "grid": {"min": rng.lo, "max": rng.hi, "steps": rng.steps, "spacing": rng.spacing},
     }
-    _emit_sweep(result, "gamma", meta, args.format, args.output, param_header="param")
+    _emit_sweep(result, "gamma", meta, args.format, args.output, "param")
     return 0
 
 
@@ -159,7 +155,7 @@ def cmd_trajectory(args) -> int:
             "vary": "c",
             "grid": {"min": rng.lo, "max": rng.hi, "steps": rng.steps, "spacing": rng.spacing},
         }
-        _emit_sweep(result, "c", meta, args.format, args.output, param_header="c")
+        _emit_sweep(result, "c", meta, args.format, args.output, "c")
         return 0
     trajectories, unresolved = spectra.matched_sweep(params, "c", grid)
     lines = []
@@ -205,16 +201,8 @@ def cmd_trajectory(args) -> int:
     return 0
 
 
-def _emit_sweep(result, vary, meta, fmt, output, param_header="param"):
-    lines = []
-    if fmt == "csv":
-        lines.append(f"{param_header},branch,re,im")
-        for spec in result:
-            p = float(getattr(spec.params, vary))
-            for b, z in enumerate(spec.eigenvalues):
-                lines.append(f"{_fmt(p)},{b},{_fmt(z.real)},{_fmt(z.imag)}")
-        text = "\n".join(lines) + "\n"
-    elif fmt == "json":
+def _emit_sweep(result, vary, meta, fmt, output, param_header):
+    if fmt == "json":
         doc = {
             "metadata": meta,
             "spectra": [
@@ -229,11 +217,12 @@ def _emit_sweep(result, vary, meta, fmt, output, param_header="param"):
         }
         text = _json_doc(doc)
     else:
-        lines.append(f"{param_header} branch re im")
+        sep = "," if fmt == "csv" else " "
+        lines = [sep.join((param_header, "branch", "re", "im"))]
         for spec in result:
-            p = float(getattr(spec.params, vary))
+            p = _fmt(getattr(spec.params, vary))
             for b, z in enumerate(spec.eigenvalues):
-                lines.append(f"{_fmt(p)} {b} {_fmt(z.real)} {_fmt(z.imag)}")
+                lines.append(sep.join((p, str(b), _fmt(z.real), _fmt(z.imag))))
         text = "\n".join(lines) + "\n"
     _write(output, text)
 
@@ -433,17 +422,9 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _CliUsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return 1
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except _CliUsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return 1
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1

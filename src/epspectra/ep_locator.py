@@ -11,7 +11,7 @@ like the square root of the distance to the EP.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,14 +25,19 @@ __all__ = [
     "StrongCouplingPrediction",
     "EPLocationError",
     "NilpotencyError",
-    "complex_pair_count",
     "locate_eps",
-    "width_split_heuristic",
     "ep_map",
     "mother_ep_check",
     "strong_coupling_predictions",
     "strong_coupling_validation",
 ]
+
+
+# The coarse scan's grid size, the recursive splits allowed per cell, and the
+# method every record names.
+_COARSE_POINTS = 512
+_MAX_SPLITS = 48
+_METHOD = "pair-count-bisection"
 
 
 class EPLocationError(RuntimeError):
@@ -48,9 +53,6 @@ class EPRecord:
     """A located exceptional point on the gamma >= 0 half-line."""
 
     gamma: float
-    c: float
-    v: float
-    particles: int
     order: int
     method: str
     bracket_width: float
@@ -60,8 +62,6 @@ class EPRecord:
 class EPMap:
     """EP positions over a c grid; per-c lists sorted ascending in gamma."""
 
-    particles: int
-    v: float
     c_values: list
     records: list  # one list of EPRecord per c value
 
@@ -84,7 +84,7 @@ def _exact_count(particles, gamma, v, c, tol):
     return spectra.classify(vals, imag_tol=tol, pair_tol=float("inf")).conjugate_pair_count
 
 
-def _pair_count_fn(particles, v, c, imag_tol=None):
+def _pair_count_fn(particles, v, c):
     """Conjugate-pair counter in gamma.
 
     The float Hamiltonian is built once for (N, v, c); each count writes
@@ -99,16 +99,15 @@ def _pair_count_fn(particles, v, c, imag_tol=None):
     c = 0 every breaking point sits at the order-(N+1) degeneracy where the
     dense route is meaningless, so the exact route is used outright.
 
-    Eigenvalues with |Im| <= ``imag_tol`` count as real. The default is
-    1e-7 * scale with scale = max(1, max|H|); width_split_heuristic passes
-    an absolute tolerance instead.
+    Eigenvalues with |Im| <= 1e-7 * scale count as real, with scale =
+    max(1, max|H|).
     """
     exact_only = float(c) == 0.0
     params = ModelParams(particles=particles, v=float(v), c=float(c))
     family = build_generalized_hamiltonian(params, "orthonormal").family
 
     def at(gamma, vals, scale):
-        tol = imag_tol if imag_tol is not None else 1e-7 * scale
+        tol = 1e-7 * scale
         if not exact_only:
             try:
                 cls = spectra.classify(vals, imag_tol=tol, pair_tol=1e-4 * scale)
@@ -128,11 +127,6 @@ def _pair_count_fn(particles, v, c, imag_tol=None):
     return count
 
 
-def complex_pair_count(gamma, *, particles, v=1.0, c=0.0) -> int:
-    """Number of complex-conjugate pairs at one gamma (PT-symmetric params)."""
-    return _pair_count_fn(particles, v, c)(gamma)
-
-
 def _search_range(particles, v, gamma_range, tol):
     """(lo, hi) to scan, by default (0, |v| (N+3)/2).
 
@@ -148,7 +142,7 @@ def _search_range(particles, v, gamma_range, tol):
     return lo, hi
 
 
-def _locate_transitions(count, lo, hi, clo, chi, tol, max_splits, method, meta):
+def _locate_transitions(count, lo, hi, clo, chi, tol):
     """Recursive splitter: resolve all count transitions in [lo, hi].
 
     ``clo`` and ``chi`` are the counts at the ends.
@@ -172,13 +166,11 @@ def _locate_transitions(count, lo, hi, clo, chi, tol, max_splits, method, meta):
             return
         if jump == 1:
             gamma, width = bisect(a, b, ca)
-            records.append(
-                EPRecord(gamma=gamma, order=2, method=method, bracket_width=width, **meta)
-            )
+            records.append(EPRecord(gamma=gamma, order=2, method=_METHOD, bracket_width=width))
             return
-        if depth >= max_splits:
+        if depth >= _MAX_SPLITS:
             raise EPLocationError(
-                f"cell [{a}, {b}] holds {jump} transitions, unresolved after {max_splits} splits"
+                f"cell [{a}, {b}] holds {jump} transitions, unresolved after {_MAX_SPLITS} splits"
             )
         mid = 0.5 * (a + b)
         cm = count(mid)
@@ -189,33 +181,13 @@ def _locate_transitions(count, lo, hi, clo, chi, tol, max_splits, method, meta):
     return records
 
 
-def _scan_and_locate(particles, v, c, gamma_range, tol, coarse_points, max_splits, method,
-                     imag_tol=None):
-    lo, hi = _search_range(particles, v, gamma_range, tol)
-    count = _pair_count_fn(particles, v, c, imag_tol)
-    meta = {"c": float(c), "v": float(v), "particles": particles}
-    grid = np.linspace(lo, hi, coarse_points).tolist()
-    counts = count.many(grid)
-    records = []
-    for i in range(len(grid) - 1):
-        if counts[i + 1] != counts[i]:
-            records.extend(
-                _locate_transitions(
-                    count, grid[i], grid[i + 1], counts[i], counts[i + 1], tol, max_splits,
-                    method, meta,
-                )
-            )
-    records.sort(key=lambda r: r.gamma)
-    return records
-
-
-def locate_eps(particles, v, c, gamma_range=None, tol=1e-9, coarse_points=512,
-               max_splits=48):
+def locate_eps(particles, v, c, gamma_range=None, tol=1e-9):
     """Second-order EP positions along gamma >= 0, one record per transition.
 
-    Scans the conjugate-pair count on a coarse grid and bisects every change
-    to the requested bracket width. Cells holding several transitions are
-    split recursively. The default gamma range [0, |v| (N+3)/2] covers the
+    Scans the conjugate-pair count on a grid of _COARSE_POINTS (512) and
+    bisects every change to the requested bracket width. Cells holding
+    several transitions are split recursively, at most _MAX_SPLITS (48)
+    times. The default gamma range [0, |v| (N+3)/2] covers the
     strong-coupling asymptote |v| (N+1)/2 with margin; a given range must be
     finite with lo < hi (UsageError otherwise). For c = 0 use
     mother_ep_check instead (the degeneracy there has order N+1).
@@ -230,27 +202,20 @@ def locate_eps(particles, v, c, gamma_range=None, tol=1e-9, coarse_points=512,
     reproducibility band of order 1e-6 from solver noise on the splitting
     at the classification threshold.
     """
-    return _scan_and_locate(particles, v, c, gamma_range, tol, coarse_points, max_splits,
-                            "pair-count-bisection")
+    lo, hi = _search_range(particles, v, gamma_range, tol)
+    count = _pair_count_fn(particles, v, c)
+    grid = np.linspace(lo, hi, _COARSE_POINTS).tolist()
+    counts = count.many(grid)
+    records = []
+    for i in range(len(grid) - 1):
+        if counts[i + 1] != counts[i]:
+            records.extend(_locate_transitions(
+                count, grid[i], grid[i + 1], counts[i], counts[i + 1], tol))
+    records.sort(key=lambda r: r.gamma)
+    return records
 
 
-def width_split_heuristic(particles, v, c, threshold=1e-4, gamma_range=None,
-                          tol=1e-9, coarse_points=512, max_splits=48):
-    """EP detection by resonance-width splitting, for figure reproduction.
-
-    Finds the smallest gamma at which two formally degenerate widths differ
-    by more than ``threshold``; a conjugate pair (Gamma, -Gamma) passes that
-    mark when |Im lambda| exceeds threshold/2, so this is the pair-count
-    machinery with an absolute imaginary tolerance. Reads slightly high
-    relative to locate_eps by the square-root splitting law, well inside
-    1e-3 for paper-scale parameters.
-    """
-    return _scan_and_locate(particles, v, c, gamma_range, tol, coarse_points, max_splits,
-                            "width-split-heuristic", imag_tol=threshold / 2.0)
-
-
-def ep_map(particles, v, c_grid, gamma_range=None, tol=1e-9, coarse_points=512,
-           max_splits=48) -> EPMap:
+def ep_map(particles, v, c_grid, gamma_range=None, tol=1e-9) -> EPMap:
     """locate_eps per c; the i-th EP of each c lies on the i-th curve."""
     gamma_range = _search_range(particles, v, gamma_range, tol)
     c_values = [float(c) for c in c_grid]
@@ -259,32 +224,21 @@ def ep_map(particles, v, c_grid, gamma_range=None, tol=1e-9, coarse_points=512,
     records = []
     for c in c_values:
         try:
-            records.append(
-                locate_eps(particles, v, c, gamma_range=gamma_range, tol=tol,
-                           coarse_points=coarse_points, max_splits=max_splits)
-            )
+            records.append(locate_eps(particles, v, c, gamma_range=gamma_range, tol=tol))
         except (EPLocationError, spectra.SpectralError) as exc:
             raise EPLocationError(f"EP map failed at c={c}: {exc}") from exc
-    return EPMap(particles=particles, v=float(v), c_values=c_values, records=records)
+    return EPMap(c_values=c_values, records=records)
 
 
 @dataclass
 class MotherEPReport:
-    particles: int
-    v: float
-    nilpotent_exact: bool
-    power_n_nonzero: bool
     max_modulus_charpoly_route: float
     max_modulus_dense_route: float
     modulus_tolerance: float
 
     @property
     def passed(self) -> bool:
-        return (
-            self.nilpotent_exact
-            and self.power_n_nonzero
-            and self.max_modulus_charpoly_route <= self.modulus_tolerance
-        )
+        return self.max_modulus_charpoly_route <= self.modulus_tolerance
 
 
 def _jordan_structure(H):
@@ -328,10 +282,6 @@ def mother_ep_check(particles, v=1) -> MotherEPReport:
     )
     dense_route = float(np.abs(spectra.eigenvalues(Hf)).max())
     return MotherEPReport(
-        particles=particles,
-        v=float(vr),
-        nilpotent_exact=nilpotent,
-        power_n_nonzero=nonzero,
         max_modulus_charpoly_route=exact_route,
         max_modulus_dense_route=dense_route,
         modulus_tolerance=1e-6 * scale,
@@ -368,12 +318,7 @@ def strong_coupling_predictions(particles, v, gamma) -> list:
 
 @dataclass
 class StrongCouplingReport:
-    particles: int
-    v: float
-    gamma: float
-    c: float
-    levels: list = field(default_factory=list)  # (expected, actual, error, bound)
-    bound_factor: float = 5.0
+    levels: list  # (expected, actual, error, bound), ascending in expected
 
     @property
     def passed(self) -> bool:
@@ -407,12 +352,11 @@ def strong_coupling_validation(particles, v, gamma, c) -> StrongCouplingReport:
     from scipy.optimize import linear_sum_assignment
 
     rows, cols = linear_sum_assignment(cost)
-    report = StrongCouplingReport(particles=particles, v=v, gamma=gamma, c=c)
     rel = 5.0 * (v * particles / c) if c else np.inf
+    levels = []
     for i, j in zip(rows, cols):
         expected = predicted[j]
         err = float(np.abs(actual[i] - expected))
         bound = rel * max(1.0, abs(expected))
-        report.levels.append((complex(expected), complex(actual[i]), err, bound))
-    report.levels.sort(key=lambda t: (t[0].real, t[0].imag))
-    return report
+        levels.append((complex(expected), complex(actual[i]), err, bound))
+    return StrongCouplingReport(sorted(levels, key=lambda t: (t[0].real, t[0].imag)))

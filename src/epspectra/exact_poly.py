@@ -50,17 +50,14 @@ __all__ = [
 ]
 
 _ZERO = Rational(0)
-_ONE = Rational(1)
 
 
-def rat(value, den=None):
+def rat(value):
     """Coerce to an exact rational.
 
     Accepts ints, rationals, strings like ``"-3/4"`` or ``"0.125"``, and
     floats (converted exactly, i.e. as the dyadic rational the float is).
     """
-    if den is not None:
-        return Rational(value) / Rational(den)
     if isinstance(value, str):
         s = value.strip()
         if "/" in s:
@@ -143,15 +140,6 @@ class GaussianRational:
             self.re * other.im + self.im * other.re,
         )
 
-    def __truediv__(self, other):
-        n2 = other.re * other.re + other.im * other.im
-        if not n2:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n2,
-            (self.im * other.re - self.re * other.im) / n2,
-        )
-
     def conjugate(self):
         return GaussianRational(self.re, -self.im)
 
@@ -212,7 +200,7 @@ class ParamPoly:
         return p
 
     @classmethod
-    def monomial(cls, exponent, value=GR_ONE):
+    def monomial(cls, exponent, value):
         g = value if isinstance(value, GaussianRational) else GaussianRational(value)
         p = cls.__new__(cls)
         p.coeffs = {int(exponent): g} if g else {}
@@ -290,9 +278,6 @@ class ParamPoly:
             raise ValueError("zero polynomial has no lowest power")
         a = min(self.coeffs)
         return a, self.coeffs[a]
-
-    def is_real(self):
-        return all(not c.im for c in self.coeffs.values())
 
     def substitute(self, value) -> GaussianRational:
         """Evaluate exactly at a rational (or GaussianRational) value."""
@@ -378,18 +363,6 @@ class CharPoly:
     def monic_at(self, value):
         """Monic coefficients (ascending) as complex numbers at a parameter value."""
         return [complex(p.substitute(value)) for p in self.monic_coefficients()]
-
-    def evaluate_exact(self, lam: GaussianRational, value) -> GaussianRational:
-        """chi(lam) in the monic convention, all arithmetic exact."""
-        coeffs = self.monic_coefficients()
-        acc = GR_ZERO
-        for g in reversed(coeffs):
-            acc = acc * lam + g.substitute(value)
-        return acc
-
-    def realness_check(self) -> bool:
-        """True iff every coefficient of every p_k has zero imaginary part."""
-        return all(p.is_real() for p in self.paper_coeffs)
 
     def newton_identity_traces(self):
         """Recompute s_k from the final p_k via Newton's identities.

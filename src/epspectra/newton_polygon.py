@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import polynomial_roots
+from ._roots import RootFindingError, polynomial_roots
 from .exact_poly import CharPoly, GaussianRational, ParamPoly, Rational, charpoly_of_tridiagonal
 from .operators import ModelParams, build_generalized_hamiltonian
 
@@ -165,7 +165,7 @@ def hull_supports_all_points(points, segments) -> bool:
     return True
 
 
-def reduced_polynomial(segment: HullSegment, charpoly: CharPoly = None) -> ParamPoly:
+def reduced_polynomial(segment: HullSegment) -> ParamPoly:
     """Sum of f_k e^k over the segment's points, with e^{k_min} removed.
 
     The surviving polynomial has a nonzero constant term; its roots are the
@@ -183,26 +183,38 @@ def solve_leading_coefficients(poly: ParamPoly) -> np.ndarray:
     """All nonzero complex roots of a reduced polynomial, to ~1e-10 relative.
 
     Companion-matrix eigenvalues polished by Newton iteration; roots at
-    e = 0 are excluded (they belong to other hull segments).
+    e = 0 are excluded (they belong to other hull segments). A coefficient
+    beyond the float range raises RootFindingError.
     """
     if not poly:
         raise ValueError("zero reduced polynomial")
     degree = poly.degree
     coeffs = np.zeros(degree + 1, dtype=complex)
-    for e, g in poly.coeffs.items():
-        coeffs[e] = complex(g)
+    try:
+        for e, g in poly.coeffs.items():
+            coeffs[e] = complex(g)
+    except OverflowError as exc:
+        raise RootFindingError(
+            f"reduced polynomial coefficient beyond the float range: {exc}") from exc
     roots = polynomial_roots(coeffs)
     return roots[roots != 0]
 
 
-def group_rings(coefficients, mu, modulus_rtol: float = 1e-6, phase_tol: float = 1e-9) -> list:
+# Leading coefficients whose moduli agree to this relative tolerance form one
+# group; the group is a ring when its phase gaps match 2 pi / size to this.
+_MODULUS_RTOL = 1e-6
+_PHASE_TOL = 1e-9
+
+
+def group_rings(coefficients, mu, first_id=0) -> list:
     """Partition leading coefficients into eigenvalue rings.
 
-    Coefficients are grouped by modulus (relative tolerance); a group is a
-    ring when its phases are spaced by 2 pi / size. A same-modulus group
-    with irregular phases is split into singles and flagged, not treated as
-    a ring (this is how e.g. a conjugate pair of independent linear branches
-    with accidentally equal moduli is reported).
+    Coefficients are grouped by modulus (relative tolerance _MODULUS_RTOL);
+    a group is a ring when its phases are spaced by 2 pi / size. A
+    same-modulus group with irregular phases is split into singles and
+    flagged, not treated as a ring (this is how e.g. a conjugate pair of
+    independent linear branches with accidentally equal moduli is
+    reported). Ring ids count up from ``first_id``.
     """
     roots = np.asarray(coefficients, dtype=complex)
     if roots.size == 0:
@@ -212,19 +224,19 @@ def group_rings(coefficients, mu, modulus_rtol: float = 1e-6, phase_tol: float =
     groups = []
     for idx in order:
         r = roots[idx]
-        if groups and abs(abs(r) - abs(groups[-1][-1])) <= modulus_rtol * max(abs(r), abs(groups[-1][-1])):
+        if groups and abs(abs(r) - abs(groups[-1][-1])) <= _MODULUS_RTOL * max(abs(r), abs(groups[-1][-1])):
             groups[-1].append(r)
         else:
             groups.append([r])
     branches = []
-    ring_id = 0
+    ring_id = first_id
     for grp in groups:
         size = len(grp)
         regular = True
         if size > 1:
             phases = np.sort(np.angle(np.array(grp)))
             gaps = np.diff(np.concatenate([phases, [phases[0] + 2 * np.pi]]))
-            regular = bool(np.all(np.abs(gaps - 2 * np.pi / size) <= phase_tol + 1e-12 * size))
+            regular = bool(np.all(np.abs(gaps - 2 * np.pi / size) <= _PHASE_TOL + 1e-12 * size))
         if regular:
             for r in grp:
                 branches.append(UnfoldingBranch(mu=mu_f, e1=r, ring_id=ring_id, ring_size=size))
@@ -271,13 +283,11 @@ def unfolding_charpoly(N: int, k: int = 2, v=1) -> CharPoly:
 class UnfoldingAnalysis:
     """Full Newton-diagram unfolding of one characteristic polynomial."""
 
-    charpoly: CharPoly
     points: list
     segments: list
     reduced: list
     branches: list
     zero_branch_count: int
-    dim: int
 
     def ring_size_counts(self) -> dict:
         """{ring size: number of rings}, identically-zero branches counted as singles."""
@@ -286,12 +296,8 @@ class UnfoldingAnalysis:
             counts[1] += self.zero_branch_count
         return dict(counts)
 
-    def branch_count(self) -> int:
-        return len(self.branches) + self.zero_branch_count
 
-
-def analyze_unfolding(charpoly: CharPoly, modulus_rtol: float = 1e-6,
-                      phase_tol: float = 1e-9) -> UnfoldingAnalysis:
+def analyze_unfolding(charpoly: CharPoly) -> UnfoldingAnalysis:
     """Diagram, hull, reduced polynomials, leading coefficients, rings.
 
     Branch accounting is verified: hull-segment extents plus the
@@ -300,24 +306,13 @@ def analyze_unfolding(charpoly: CharPoly, modulus_rtol: float = 1e-6,
     """
     points = build_points(charpoly)
     M = charpoly.dim
-    if len(points) == 1:
-        # chi = +-lambda^M: fully degenerate, nothing unfolds
-        return UnfoldingAnalysis(
-            charpoly=charpoly,
-            points=points,
-            segments=[],
-            reduced=[],
-            branches=[],
-            zero_branch_count=points[0].k,
-            dim=M,
-        )
-    segments = lower_hull(points)
+    # a single point is chi = +-lambda^M: fully degenerate, nothing unfolds
+    segments = lower_hull(points) if len(points) > 1 else []
     if not hull_supports_all_points(points, segments):
         raise AssertionError("hull consistency violated")
     zero_branches = min(p.k for p in points)
     reduced = []
     branches = []
-    ring_offset = 0
     for seg in segments:
         poly = reduced_polynomial(seg)
         reduced.append(poly)
@@ -326,28 +321,14 @@ def analyze_unfolding(charpoly: CharPoly, modulus_rtol: float = 1e-6,
             raise AssertionError(
                 f"segment accounts for {seg.extent} branches but produced {len(roots)} roots"
             )
-        ring = group_rings(roots, seg.mu, modulus_rtol, phase_tol)
-        for b in ring:
-            branches.append(
-                UnfoldingBranch(
-                    mu=b.mu,
-                    e1=b.e1,
-                    ring_id=b.ring_id + ring_offset,
-                    ring_size=b.ring_size,
-                    irregular=b.irregular,
-                )
-            )
-        if ring:
-            ring_offset = max(b.ring_id for b in branches) + 1
+        branches += group_rings(roots, seg.mu, branches[-1].ring_id + 1 if branches else 0)
     total = zero_branches + sum(seg.extent for seg in segments)
     if total != M:
         raise AssertionError(f"branch accounting: {total} != {M}")
     return UnfoldingAnalysis(
-        charpoly=charpoly,
         points=points,
         segments=segments,
         reduced=reduced,
         branches=branches,
         zero_branch_count=zero_branches,
-        dim=M,
     )

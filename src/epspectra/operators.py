@@ -39,7 +39,6 @@ __all__ = [
     "UsageError",
     "build_ladder",
     "build_cartesian",
-    "build_hamiltonian",
     "build_generalized_hamiltonian",
     "build_rotated_hamiltonian",
     "parity_matrix",
@@ -92,7 +91,7 @@ class ModelParams:
             raise UsageError("need at least one particle")
         if self.pert_power < 1:
             raise UsageError("perturbation power must be >= 1")
-        if _is_zero_param(self.v):
+        if self.v == 0:
             raise UsageError("v = 0 leaves no tunneling scale; spectra need v != 0")
 
     @property
@@ -100,26 +99,19 @@ class ModelParams:
         return AngularMomentumRep(self.particles)
 
 
-def _is_zero_param(x) -> bool:
-    if x is None:
-        return False
-    return float(x) == 0.0
-
-
 class OperatorMatrix:
     """Dense square matrix, either floating complex or exact.
 
     Exact entries are ParamPoly values in one formal parameter (possibly of
-    degree zero). ``basis_tag`` records which basis the matrix lives in.
-    Instances are immutable by convention; all operations return new
-    matrices. A float Hamiltonian from ``build_generalized_hamiltonian``
-    carries its ``HamiltonianFamily`` as ``family``, so a sweep over gamma
-    or c builds once; other matrices have ``family = None``.
+    degree zero). Instances are immutable by convention; all operations
+    return new matrices. A float Hamiltonian from
+    ``build_generalized_hamiltonian`` carries its ``HamiltonianFamily`` as
+    ``family``, so a sweep over gamma or c builds once; other matrices have
+    ``family = None``.
     """
 
-    def __init__(self, entries, entry_kind, basis_tag, param=None):
+    def __init__(self, entries, entry_kind, param=None):
         self.entry_kind = entry_kind
-        self.basis_tag = basis_tag
         self.param = param
         self.family = None
         if entry_kind == "float":
@@ -140,16 +132,9 @@ class OperatorMatrix:
     # -- exact algebra ----------------------------------------------------
 
     @classmethod
-    def exact_zeros(cls, dim, basis_tag="monomial", param=None):
+    def exact_zeros(cls, dim, param=None):
         rows = [[ParamPoly() for _ in range(dim)] for _ in range(dim)]
-        return cls(rows, "exact", basis_tag, param)
-
-    @classmethod
-    def exact_identity(cls, dim, basis_tag="monomial", param=None):
-        m = cls.exact_zeros(dim, basis_tag, param)
-        for i in range(dim):
-            m.entries[i][i] = ParamPoly.const(GR_ONE)
-        return m
+        return cls(rows, "exact", param)
 
     def _require_exact(self):
         if self.entry_kind != "exact":
@@ -173,14 +158,12 @@ class OperatorMatrix:
                     if a:
                         acc = acc + a * b
                 C[i][j] = acc
-        return OperatorMatrix(C, "exact", self.basis_tag, self.param or other.param)
+        return OperatorMatrix(C, "exact", self.param or other.param)
 
     def power(self, k: int) -> "OperatorMatrix":
         self._require_exact()
-        if k < 0:
-            raise ValueError("matrix power needs k >= 0")
-        if k == 0:
-            return OperatorMatrix.exact_identity(self.dim, self.basis_tag, self.param)
+        if k < 1:
+            raise ValueError("matrix power needs k >= 1")
         out = self
         for _ in range(k - 1):
             out = out.matmul(self)
@@ -192,18 +175,18 @@ class OperatorMatrix:
             [self.entries[i][j] + other.entries[i][j] for j in range(self.dim)]
             for i in range(self.dim)
         ]
-        return OperatorMatrix(C, "exact", self.basis_tag, self.param or other.param)
+        return OperatorMatrix(C, "exact", self.param or other.param)
 
     def scale(self, g: GaussianRational) -> "OperatorMatrix":
         self._require_exact()
         C = [[self.entries[i][j].scale(g) for j in range(self.dim)] for i in range(self.dim)]
-        return OperatorMatrix(C, "exact", self.basis_tag, self.param)
+        return OperatorMatrix(C, "exact", self.param)
 
     def shift_param(self, n: int) -> "OperatorMatrix":
         """Multiply every entry by parameter**n."""
         self._require_exact()
         C = [[self.entries[i][j].shift(n) for j in range(self.dim)] for i in range(self.dim)]
-        return OperatorMatrix(C, "exact", self.basis_tag, self.param)
+        return OperatorMatrix(C, "exact", self.param)
 
     def trace(self) -> ParamPoly:
         self._require_exact()
@@ -216,34 +199,21 @@ class OperatorMatrix:
         self._require_exact()
         return not any(e for row in self.entries for e in row)
 
-    def substitute(self, value) -> "OperatorMatrix":
-        """Fix the formal parameter to an exact value (stays exact)."""
-        self._require_exact()
-        C = [
-            [ParamPoly.const(self.entries[i][j].substitute(value)) for j in range(self.dim)]
-            for i in range(self.dim)
-        ]
-        return OperatorMatrix(C, "exact", self.basis_tag, None)
-
     # -- conversions --------------------------------------------------------
 
-    def to_complex(self, value=None) -> np.ndarray:
+    def to_complex(self) -> np.ndarray:
         if self.entry_kind == "float":
             return self.array.copy()
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for i in range(self.dim):
             for j in range(self.dim):
                 p = self.entries[i][j]
-                if not p:
-                    continue
-                if value is None:
+                if p:
                     out[i, j] = complex(p)
-                else:
-                    out[i, j] = complex(p.substitute(value))
         return out
 
-    def max_abs(self, value=None) -> float:
-        arr = self.to_complex(value) if self.entry_kind == "exact" else self.array
+    def max_abs(self) -> float:
+        arr = self.to_complex() if self.entry_kind == "exact" else self.array
         return float(np.abs(arr).max()) if arr.size else 0.0
 
     def is_tridiagonal(self) -> bool:
@@ -279,9 +249,9 @@ def build_ladder(rep: AngularMomentumRep, which: str, basis: str = "orthonormal"
                 A[n + 1, n] = np.sqrt((l - m) * (l + m + 1))
             if which == "minus" and n - 1 >= 0:
                 A[n - 1, n] = np.sqrt((l + m) * (l - m + 1))
-        return OperatorMatrix(A, "float", "orthonormal")
+        return OperatorMatrix(A, "float")
     if basis == "monomial":
-        M = OperatorMatrix.exact_zeros(dim, "monomial")
+        M = OperatorMatrix.exact_zeros(dim)
         for n in range(dim):
             if which == "plus" and n + 1 < dim:
                 M.entries[n + 1][n] = ParamPoly.const(GaussianRational(N - n))
@@ -296,8 +266,8 @@ def build_cartesian(rep: AngularMomentumRep, axis: str, basis: str = "orthonorma
     if axis == "z":
         if basis == "orthonormal":
             m = np.arange(rep.dim) - rep.particles / 2.0
-            return OperatorMatrix(np.diag(m.astype(complex)), "float", "orthonormal")
-        M = OperatorMatrix.exact_zeros(rep.dim, "monomial")
+            return OperatorMatrix(np.diag(m.astype(complex)), "float")
+        M = OperatorMatrix.exact_zeros(rep.dim)
         for n, m in enumerate(rep.m_values()):
             M.entries[n][n] = ParamPoly.const(GaussianRational(m))
         return M
@@ -305,9 +275,9 @@ def build_cartesian(rep: AngularMomentumRep, axis: str, basis: str = "orthonorma
     lm = build_ladder(rep, "minus", basis)
     if basis == "orthonormal":
         if axis == "x":
-            return OperatorMatrix((lp.array + lm.array) / 2.0, "float", "orthonormal")
+            return OperatorMatrix((lp.array + lm.array) / 2.0, "float")
         if axis == "y":
-            return OperatorMatrix((lp.array - lm.array) / 2j, "float", "orthonormal")
+            return OperatorMatrix((lp.array - lm.array) / 2j, "float")
     else:
         half = GaussianRational(Rational(1, 2))
         if axis == "x":
@@ -321,18 +291,6 @@ def build_cartesian(rep: AngularMomentumRep, axis: str, basis: str = "orthonorma
 
 
 # -- Hamiltonians -------------------------------------------------------------
-
-
-def build_hamiltonian(params: ModelParams, basis: str = "orthonormal") -> OperatorMatrix:
-    """The physical model H = -2i gamma L_z + 2 v L_x + 2 c L_z^2.
-
-    Tridiagonal; complex symmetric in the orthonormal basis; exact
-    Gaussian-rational in the monomial basis when gamma, v, c are rational.
-    """
-    if params.pert_power != 2:
-        raise UsageError("build_hamiltonian is the pert_power=2 model; "
-                         "use build_generalized_hamiltonian for other powers")
-    return build_generalized_hamiltonian(params, basis)
 
 
 class HamiltonianFamily:
@@ -382,7 +340,7 @@ def build_generalized_hamiltonian(params: ModelParams, basis: str = "orthonormal
     """
     if basis == "orthonormal":
         family = HamiltonianFamily(params)
-        H = OperatorMatrix(family.stack("gamma", [family.gamma])[0], "float", "orthonormal")
+        H = OperatorMatrix(family.stack("gamma", [family.gamma])[0], "float")
         H.family = family
         return H
     if basis != "monomial":
@@ -392,7 +350,7 @@ def build_generalized_hamiltonian(params: ModelParams, basis: str = "orthonormal
     gam = rat(params.gamma)
     v = rat(params.v)
     N = rep.particles
-    H = OperatorMatrix.exact_zeros(rep.dim, "monomial", "c" if params.c is None else None)
+    H = OperatorMatrix.exact_zeros(rep.dim, "c" if params.c is None else None)
     for n, m in enumerate(rep.m_values()):
         # 2 v L_x = v (L_+ + L_-): L_+ xi^n = (N - n) xi^{n+1}, L_- xi^n = n xi^{n-1}
         if n < N:
@@ -451,8 +409,8 @@ def parity_matrix(dim: int, kind: str = "float") -> OperatorMatrix:
     if kind == "float":
         P = np.zeros((dim, dim), dtype=complex)
         P[np.arange(dim), dim - 1 - np.arange(dim)] = 1.0
-        return OperatorMatrix(P, "float", "orthonormal")
-    M = OperatorMatrix.exact_zeros(dim, "monomial")
+        return OperatorMatrix(P, "float")
+    M = OperatorMatrix.exact_zeros(dim)
     for i in range(dim):
         M.entries[i][dim - 1 - i] = ParamPoly.const(GR_ONE)
     return M

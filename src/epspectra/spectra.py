@@ -82,28 +82,26 @@ def eigenvalues(matrix, context: str = "") -> np.ndarray:
     return _sorted_eigs(vals)
 
 
-def eigenvalues_from_charpoly(charpoly, value=0) -> np.ndarray:
+def eigenvalues_from_charpoly(charpoly, value) -> np.ndarray:
     """Roots of the exact characteristic polynomial at a parameter value."""
     coeffs = np.array(charpoly.monic_at(value))
     return _sorted_eigs(polynomial_roots(coeffs))
 
 
-def exact_spectrum(matrix: OperatorMatrix, value=None, context: str = "") -> np.ndarray:
+def exact_spectrum(matrix: OperatorMatrix, context: str = "") -> np.ndarray:
     """Eigenvalues of an exact tridiagonal matrix via its characteristic polynomial.
 
-    ``value`` fixes the formal parameter; without it the matrix must be
-    parameter-free, and a matrix that still carries the parameter raises
-    ValueError.
+    The matrix must be parameter-free: one that still carries the formal
+    parameter raises ValueError.
     """
     if matrix.entry_kind != "exact":
         raise TypeError("exact_spectrum needs an exact matrix")
-    if value is None and any(e for row in matrix.entries for p in row for e in p.coeffs):
+    if any(e for row in matrix.entries for p in row for e in p.coeffs):
         raise ValueError(
             f"matrix depends on the formal parameter {matrix.param or 'c'!r}; "
-            f"pass a value for it {context}".rstrip()
+            f"fix its value first {context}".rstrip()
         )
-    work = matrix if value is None else matrix.substitute(value)
-    return eigenvalues_from_charpoly(charpoly_of_tridiagonal(work), 0)
+    return eigenvalues_from_charpoly(charpoly_of_tridiagonal(matrix), 0)
 
 
 def analytic_c0_spectrum(params: ModelParams) -> np.ndarray:
@@ -128,11 +126,6 @@ class Spectrum:
 
     params: ModelParams
     eigenvalues: np.ndarray
-    scale: float = 1.0
-
-    @property
-    def count(self) -> int:
-        return len(self.eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -148,7 +141,6 @@ class Trajectory:
 class Classification:
     real_count: int
     conjugate_pair_count: int
-    imag_tolerance: float
 
 
 def stacked_spectra(family, vary: str, values, context):
@@ -183,9 +175,9 @@ def _family_spectra(family, vary: str, values) -> list:
     """One Spectrum per value of ``vary``."""
     at = lambda x: replace(family.params, **{vary: x})
     return [
-        Spectrum(params=at(x), eigenvalues=ev, scale=scale)
+        Spectrum(params=at(x), eigenvalues=ev)
         for block in stacked_spectra(family, vary, values, lambda x: _context(at(x)))
-        for x, ev, scale in zip(*block)
+        for x, ev in zip(*block[:2])
     ]
 
 
@@ -209,11 +201,11 @@ _JUMP_RATIO = 10.0
 _SHRINK_RATIO = 0.6  # between smooth (0.5) and square-root (0.71) jump shrinkage
 
 
-def _match_step(prev, cur, jump_ratio):
+def _match_step(prev, cur):
     """Order ``cur`` to continue ``prev`` by minimum-total-distance assignment.
 
     Returns (ordered, flagged, jump): jump is the largest matched distance,
-    flagged when it exceeds ``jump_ratio`` times the median jump. The jumps,
+    flagged when it exceeds _JUMP_RATIO times the median jump. The jumps,
     hence the flag, do not depend on the order of ``prev``.
     """
     cost = np.abs(prev[:, None] - cur[None, :])
@@ -222,14 +214,14 @@ def _match_step(prev, cur, jump_ratio):
     ordered[r] = cur[c]
     jumps = np.abs(ordered - prev)
     floor = 1e-14 * max(1.0, np.abs(cur).max())
-    return ordered, jumps.max() > jump_ratio * max(np.median(jumps), floor), jumps.max()
+    return ordered, jumps.max() > _JUMP_RATIO * max(np.median(jumps), floor), jumps.max()
 
 
-def match_branches(spectra, vary: str = "gamma", jump_ratio: float = _JUMP_RATIO):
+def match_branches(spectra, vary: str = "gamma"):
     """Pair eigenvalues across a sweep by minimum-total-distance assignment.
 
     Returns (trajectories, flagged_steps). A step is flagged when its
-    largest matched jump exceeds ``jump_ratio`` times the median jump of
+    largest matched jump exceeds _JUMP_RATIO (10) times the median jump of
     that step, which indicates the grid is too coarse there (typically near
     an exceptional point).
     """
@@ -239,7 +231,7 @@ def match_branches(spectra, vary: str = "gamma", jump_ratio: float = _JUMP_RATIO
     rows = [spectra[0].eigenvalues.copy()]
     flagged = []
     for i, spec in enumerate(spectra[1:]):
-        ordered, jumped, _ = _match_step(rows[-1], spec.eigenvalues, jump_ratio)
+        ordered, jumped, _ = _match_step(rows[-1], spec.eigenvalues)
         if jumped:
             flagged.append(i)
         rows.append(ordered)
@@ -285,8 +277,7 @@ def matched_sweep(params: ModelParams, vary: str, grid, max_levels: int = 12,
         pending = [(hi, evaluate(hi), 0.0)]  # a grid step has no parent: halve if flagged
         while pending:
             x, spec, parent = pending[-1]
-            _, flagged, jump = _match_step(spectra[-1].eigenvalues, spec.eigenvalues,
-                                           _JUMP_RATIO)
+            _, flagged, jump = _match_step(spectra[-1].eigenvalues, spec.eigenvalues)
             if flagged and jump > _SHRINK_RATIO * parent:
                 if x - points[-1] > floor:
                     mid = (points[-1] + x) / 2.0
@@ -301,24 +292,18 @@ def matched_sweep(params: ModelParams, vary: str, grid, max_levels: int = 12,
     return trajectories, unresolved
 
 
-def classify(spectrum, imag_tol=None, pair_tol=None) -> Classification:
+def classify(vals, imag_tol, pair_tol=None) -> Classification:
     """Split a PT-symmetric spectrum into real values and conjugate pairs.
 
-    Eigenvalues with |Im| <= imag_tol count as real (default tolerance
-    1e-9 * scale); the rest must pair under conjugation, else the Krein
-    symmetry is numerically violated and an error is raised. ``pair_tol``
-    bounds the pairing residual; callers bisecting toward an exceptional
-    point pass a looser value because dense-solver noise there grows like
-    sqrt(eps) / (distance to the EP)^(1/4).
+    Eigenvalues with |Im| <= imag_tol count as real; the rest must pair
+    under conjugation, else the Krein symmetry is numerically violated and
+    an error is raised. ``pair_tol`` bounds the pairing residual, by default
+    max(4 imag_tol, 1e-10 * scale) with scale = max(1, max|lambda|); callers
+    bisecting toward an exceptional point pass a looser value because
+    dense-solver noise there grows like sqrt(eps) / (distance to the
+    EP)^(1/4).
     """
-    if isinstance(spectrum, Spectrum):
-        vals = spectrum.eigenvalues
-        scale = spectrum.scale
-    else:
-        vals = np.asarray(spectrum, dtype=complex)
-        scale = max(1.0, float(np.abs(vals).max()) if vals.size else 1.0)
-    if imag_tol is None:
-        imag_tol = 1e-9 * scale
+    vals = np.asarray(vals, dtype=complex)
     real_mask = np.abs(vals.imag) <= imag_tol
     upper = vals[~real_mask & (vals.imag > 0)]
     lower = vals[~real_mask & (vals.imag < 0)]
@@ -331,13 +316,9 @@ def classify(spectrum, imag_tol=None, pair_tol=None) -> Classification:
         r, c = linear_sum_assignment(cost)
         residual = cost[r, c].max()
         if pair_tol is None:
-            pair_tol = max(4.0 * imag_tol, 1e-10 * scale)
+            pair_tol = max(4.0 * imag_tol, 1e-10 * max(1.0, float(np.abs(vals).max())))
         if residual > pair_tol:
             raise ClassificationError(
                 f"conjugate pairing residual {residual:.3e} exceeds {pair_tol:.3e}"
             )
-    return Classification(
-        real_count=int(real_mask.sum()),
-        conjugate_pair_count=len(upper),
-        imag_tolerance=float(imag_tol),
-    )
+    return Classification(real_count=int(real_mask.sum()), conjugate_pair_count=len(upper))

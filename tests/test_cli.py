@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from epspectra.cli import main, parse_range
+from epspectra.operators import UsageError
 
 
 def run_cli(tmp_path, *args, name="out.txt"):
@@ -30,10 +31,8 @@ class TestRangeParsing:
         assert r.lo == pytest.approx(0.1)
 
     def test_bad_ranges(self):
-        from epspectra.cli import _CliUsageError
-
         for bad in ("1:0:5", "0:1:0", "0:1", "a:b:3", "0:1:5:cubic", "-1:1:3:log"):
-            with pytest.raises(_CliUsageError):
+            with pytest.raises(UsageError):
                 parse_range(bad)
 
 
@@ -79,6 +78,28 @@ class TestSpectrumCommand:
         _, a = run_cli(tmp_path, *args, name="a.csv")
         _, b = run_cli(tmp_path, *args, name="b.csv")
         assert a == b
+
+
+class TestTextFormat:
+    @pytest.mark.parametrize("args", [
+        ("spectrum", "-N", "4", "--c", "0.3", "--gamma", "0:1.2:7"),
+        ("trajectory", "-N", "6", "--gamma", "0.5", "--c", "0.01:0.01:1"),
+    ])
+    def test_sweep_text_is_csv_with_spaces(self, tmp_path, args):
+        _, csv = run_cli(tmp_path, *args, name="a.csv")
+        _, text = run_cli(tmp_path, *args, "--format", "text", name="a.txt")
+        assert text.count("\n") > 2 and text == csv.replace(",", " ")
+
+    def test_trajectory_text_is_branch_major(self, tmp_path):
+        args = ("trajectory", "-N", "3", "--gamma", "0.7", "--c", "0.1:2:7")
+        _, csv = run_cli(tmp_path, *args, name="a.csv")
+        _, text = run_cli(tmp_path, *args, "--format", "text", name="a.txt")
+        csv_rows = [line.split(",") for line in csv.strip().split("\n")]
+        text_rows = [line.split(" ") for line in text.strip().split("\n")]
+        assert text_rows[0] == ["c", "branch", "re", "im"] and csv_rows[0][0] == "c"
+        # CSV is point-major; a stable sort by branch gives the text order
+        assert text_rows[1:] == sorted(csv_rows[1:], key=lambda row: int(row[1]))
+        assert len(text_rows) == 1 + 4 * 7
 
 
 class TestTrajectoryCommand:
@@ -267,6 +288,22 @@ class TestExitCodes:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("usage error:")
+
+    @pytest.mark.parametrize("v", ["1e200", "1e400", "1e-400"])
+    def test_exact_v_beyond_the_float_range(self, v, capsys):
+        # the leading coefficients scale like a power of v and overflow or
+        # underflow as floats; 1e-400 is no float, but it is not 0 either
+        assert main(["newton", "-N", "3", "--v", v]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("numerical failure:")
+
+    @pytest.mark.parametrize("v", ["1e400", "1e-400"])
+    def test_charpoly_of_any_nonzero_exact_v(self, v, capsys):
+        assert main(["charpoly", "-N", "3", "--gamma", "1", "--v", v]) == 0
+        captured = capsys.readouterr()
+        exact = str(10**400) if v == "1e400" else f"1/{10**400}"
+        assert f"v={exact}, c symbolic" in captured.out and captured.err == ""
+        assert "\nlambda^4: 1\n" in captured.out
 
     def test_charpoly_rejects_format(self):
         assert main(["charpoly", "--particles", "3", "--gamma", "1", "--format", "json"]) == 1

@@ -8,28 +8,36 @@ import pytest
 from epspectra import ep_locator
 from epspectra.ep_locator import (
     EPLocationError,
-    complex_pair_count,
     ep_map,
     locate_eps,
     mother_ep_check,
     strong_coupling_predictions,
     strong_coupling_validation,
-    width_split_heuristic,
 )
 from epspectra.exact_poly import rat
-from epspectra.operators import ModelParams, OperatorMatrix, UsageError, build_hamiltonian
+from epspectra.operators import (
+    ModelParams,
+    OperatorMatrix,
+    UsageError,
+    build_generalized_hamiltonian,
+)
+
+
+def _count_at(gamma, particles, v, c):
+    """The one-point pair count, from a fresh counter."""
+    return ep_locator._pair_count_fn(particles, v, c)(gamma)
 
 
 class TestPairCount:
     def test_unbroken_region(self):
-        assert complex_pair_count(0.5, particles=11, v=1.0, c=0.0) == 0
+        assert _count_at(0.5, 11, 1.0, 0.0) == 0
 
     def test_fully_broken_c0(self):
         # N odd: no n = 0 level, so all twelve values pair up
-        assert complex_pair_count(1.5, particles=11, v=1.0, c=0.0) == 6
+        assert _count_at(1.5, 11, 1.0, 0.0) == 6
 
     def test_partially_broken_with_interaction(self):
-        assert complex_pair_count(1.0, particles=11, v=1.0, c=0.1 / 11) == 4
+        assert _count_at(1.0, 11, 1.0, 0.1 / 11) == 4
 
 
 class TestStackedScan:
@@ -54,7 +62,7 @@ class TestStackedScan:
         grid = np.linspace(0.0, 7.0, 512).tolist()
         stacked = ep_locator._pair_count_fn(11, 1.0, c).many(grid)
         assert len(seen) == (512 if c == 0.0 else 0)  # c = 0 counts exactly only
-        assert stacked == [complex_pair_count(g, particles=11, v=1.0, c=c) for g in grid]
+        assert stacked == [_count_at(g, 11, 1.0, c) for g in grid]
 
     def test_classification_fallback_inside_a_stack(self, monkeypatch):
         # README grid, c = 0.004: the dense pairing fails at this gamma, met
@@ -64,7 +72,7 @@ class TestStackedScan:
         grid = sorted(np.linspace(0.0, 7.0, 512).tolist() + [gamma])
         stacked = ep_locator._pair_count_fn(11, 1.0, 0.004).many(grid)
         assert seen == [gamma]
-        assert stacked == [complex_pair_count(g, particles=11, v=1.0, c=0.004) for g in grid]
+        assert stacked == [_count_at(g, 11, 1.0, 0.004) for g in grid]
 
 
 class TestBisectionTolerance:
@@ -76,8 +84,6 @@ class TestBisectionTolerance:
         monkeypatch.setattr(ep_locator, "_pair_count_fn", no_counting)
         with pytest.raises(UsageError):
             locate_eps(2, 1.0, 0.1, **kwargs)
-        with pytest.raises(UsageError):
-            width_split_heuristic(2, 1.0, 0.1, **kwargs)
         with pytest.raises(UsageError):
             ep_map(2, 1.0, [0.1], **kwargs)
 
@@ -105,8 +111,7 @@ class TestBisectionTolerance:
             return int(gamma > 0.3)
 
         (rec,) = ep_locator._locate_transitions(
-            count, 0.0, 1.0, 0, 1, 1e-300, 48, "pair-count-bisection",
-            {"c": 0.1, "v": 1.0, "particles": 2})
+            count, 0.0, 1.0, 0, 1, 1e-300)
         # the bracket is one float step wide, around the jump at 0.3
         assert rec.bracket_width == np.spacing(0.3)
         assert abs(rec.gamma - 0.3) <= np.spacing(0.3)
@@ -129,41 +134,22 @@ class TestLocateEps:
             assert len(recs) == 1
             assert abs(recs[0].gamma - 1.0) < 2e-3
 
-    def test_coarse_cell_resolved_by_splitting(self):
+    def test_coarse_cell_resolved_by_splitting(self, monkeypatch):
         # a 2-point scan leaves all six transitions in one cell; positions
         # agree with the fine scan within the threshold-noise band (the
         # bracket is 1e-9 but the count flips inside a ~1e-6 noise window)
         fine = locate_eps(11, 1.0, 0.1 / 11)
-        coarse = locate_eps(11, 1.0, 0.1 / 11, coarse_points=2)
+        monkeypatch.setattr(ep_locator, "_COARSE_POINTS", 2)
+        coarse = locate_eps(11, 1.0, 0.1 / 11)
         assert len(coarse) == 6
         for a, b in zip(fine, coarse):
             assert abs(a.gamma - b.gamma) <= 2e-6
 
-    def test_refinement_limit_errors(self):
+    def test_refinement_limit_errors(self, monkeypatch):
+        monkeypatch.setattr(ep_locator, "_COARSE_POINTS", 2)
+        monkeypatch.setattr(ep_locator, "_MAX_SPLITS", 1)
         with pytest.raises(EPLocationError):
-            locate_eps(11, 1.0, 0.1 / 11, coarse_points=2, max_splits=1)
-
-
-class TestWidthSplitHeuristic:
-    @pytest.mark.parametrize("c", [0.1 / 11, 0.5 / 11])
-    def test_agreement_with_pair_count(self, c):
-        a = locate_eps(11, 1.0, c)
-        b = width_split_heuristic(11, 1.0, c)
-        assert len(a) == len(b)
-        assert all(x.method == "width-split-heuristic" for x in b)
-        for ra, rb in zip(a, b):
-            assert abs(ra.gamma - rb.gamma) <= 1e-3
-
-    def test_c0_single_detection_at_one(self):
-        recs = width_split_heuristic(11, 1.0, 0.0, gamma_range=(0.0, 2.0))
-        assert {round(r.gamma, 4) for r in recs} == {1.0}
-
-    def test_threshold_stability(self):
-        base = width_split_heuristic(11, 1.0, 0.1 / 11, threshold=1e-4)
-        for thr in (1e-5, 1e-3):
-            alt = width_split_heuristic(11, 1.0, 0.1 / 11, threshold=thr)
-            for ra, rb in zip(base, alt):
-                assert abs(ra.gamma - rb.gamma) < 1e-3
+            locate_eps(11, 1.0, 0.1 / 11)
 
 
 class TestEPMap:
@@ -208,7 +194,6 @@ class TestMotherEP:
     def test_passes(self, N, v):
         report = mother_ep_check(N, v)
         assert report.passed
-        assert report.nilpotent_exact and report.power_n_nonzero
         assert report.max_modulus_charpoly_route <= report.modulus_tolerance
 
     @pytest.mark.parametrize("N", range(1, 9))
@@ -216,7 +201,8 @@ class TestMotherEP:
         # the charpoly decision against H^(N+1) and H^N by exact matmul, at
         # the mother EP and off it (gamma != v, with and without c)
         for gamma, c in ((1, 0), (rat("1/2"), 0), (1, rat("1/7"))):
-            H = build_hamiltonian(ModelParams(particles=N, gamma=gamma, v=1, c=c), "monomial")
+            H = build_generalized_hamiltonian(ModelParams(particles=N, gamma=gamma, v=1, c=c),
+                                              "monomial")
             expected = (H.power(N + 1).is_zero(), not H.power(N).is_zero())
             assert ep_locator._jordan_structure(H) == expected
             assert expected == ((True, True) if (gamma, c) == (1, 0) else (False, True))
@@ -238,13 +224,12 @@ class TestSquareRootScaling:
         # the square-root law (a diabolical point would scale linearly)
         recs = locate_eps(11, 1.0, 0.1 / 11)
         g1 = recs[0].gamma
-        from epspectra.operators import ModelParams, build_hamiltonian
         from epspectra import spectra
 
         deltas = np.geomspace(1e-6, 1e-3, 7)
         widths = []
         for d in deltas:
-            H = build_hamiltonian(
+            H = build_generalized_hamiltonian(
                 ModelParams(particles=11, gamma=g1 + d, v=1.0, c=0.1 / 11), "orthonormal"
             )
             widths.append(np.abs(spectra.eigenvalues(H).imag).max())

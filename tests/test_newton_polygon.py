@@ -212,6 +212,7 @@ class TestRings:
         conj_pair = np.array([3.0 + 1.0j, 3.0 - 1.0j])
         branches = group_rings(conj_pair, 1)
         assert all(b.ring_size == 1 and b.irregular for b in branches)
+        assert [b.ring_id for b in group_rings(conj_pair, 1, first_id=3)] == [3, 4]
 
 
 class TestRingLaw:
@@ -242,7 +243,7 @@ class TestRingLaw:
     def test_branch_accounting(self):
         for N, k in ((5, 2), (10, 2), (6, 3), (12, 4)):
             analysis = analyze_unfolding(unfolding_charpoly(N, k=k))
-            assert analysis.branch_count() == N + 1
+            assert len(analysis.branches) + analysis.zero_branch_count == N + 1
 
 
 class TestNumericalAgreement:

@@ -8,11 +8,9 @@ from epspectra.operators import (
     AngularMomentumRep,
     HamiltonianFamily,
     ModelParams,
-    OperatorMatrix,
     UsageError,
     build_cartesian,
     build_generalized_hamiltonian,
-    build_hamiltonian,
     build_ladder,
     build_rotated_hamiltonian,
     parity_matrix,
@@ -85,7 +83,8 @@ class TestHamiltonian:
         # diagonal -2 i gamma m + 2 c m^2 with m ascending; off-diagonals
         # (sqrt5, 2 sqrt2, 3, 2 sqrt2, sqrt5) v. Ascending-n ordering mirrors
         # the printed m-descending matrix; spectra are unaffected.
-        H = build_hamiltonian(ModelParams(particles=5, gamma=1, v=1, c=None), "monomial")
+        H = build_generalized_hamiltonian(
+            ModelParams(particles=5, gamma=1, v=1, c=None), "monomial")
         imag_parts = [5, 3, 1, -1, -3, -5]
         c_parts = ["25/2", "9/2", "1/2", "1/2", "9/2", "25/2"]
         for n in range(6):
@@ -93,16 +92,19 @@ class TestHamiltonian:
                 1, gr(c_parts[n])
             )
             assert H.entries[n][n] == expected
-        Hf = build_hamiltonian(ModelParams(particles=5, gamma=1.0, v=1.0, c=0.0), "orthonormal")
+        Hf = build_generalized_hamiltonian(
+            ModelParams(particles=5, gamma=1.0, v=1.0, c=0.0), "orthonormal")
         off = np.diag(Hf.array, 1).real
         assert np.allclose(off, [np.sqrt(5), 2 * np.sqrt(2), 3, 2 * np.sqrt(2), np.sqrt(5)])
 
     def test_hermitian_limit(self):
-        H = build_hamiltonian(ModelParams(particles=6, gamma=0.0, v=1.3, c=0.0), "orthonormal").array
+        H = build_generalized_hamiltonian(
+            ModelParams(particles=6, gamma=0.0, v=1.3, c=0.0), "orthonormal").array
         assert np.abs(H - H.conj().T).max() == 0.0
 
     def test_complex_symmetric(self):
-        H = build_hamiltonian(ModelParams(particles=9, gamma=0.7, v=1.0, c=0.2), "orthonormal").array
+        H = build_generalized_hamiltonian(
+            ModelParams(particles=9, gamma=0.7, v=1.0, c=0.2), "orthonormal").array
         assert np.array_equal(H, H.T)
 
     def test_basis_equivalence_charpolys(self):
@@ -110,20 +112,22 @@ class TestHamiltonian:
 
         params_f = ModelParams(particles=7, gamma=0.3, v=1.0, c=0.07)
         params_e = ModelParams(particles=7, gamma=rat("0.3"), v=1, c=rat("0.07"))
-        coeffs_float = np.poly(build_hamiltonian(params_f, "orthonormal").array)[::-1]
-        cp = charpoly_of_tridiagonal(build_hamiltonian(params_e, "monomial"))
+        coeffs_float = np.poly(build_generalized_hamiltonian(params_f, "orthonormal").array)[::-1]
+        cp = charpoly_of_tridiagonal(build_generalized_hamiltonian(params_e, "monomial"))
         coeffs_exact = np.array(cp.monic_at(0))
         for a, b in zip(coeffs_float, coeffs_exact):
             assert abs(a - b) <= 1e-10 * max(1.0, abs(a), abs(b))
 
     def test_tridiagonal(self):
-        H = build_hamiltonian(ModelParams(particles=8, gamma=1, v=1, c=None), "monomial")
+        H = build_generalized_hamiltonian(
+            ModelParams(particles=8, gamma=1, v=1, c=None), "monomial")
         assert H.is_tridiagonal()
 
     def test_monomial_denominators_are_powers_of_two(self):
         # entries derive from half-integers l, m: integer parameters leave
         # only powers of 2 in the denominators
-        H = build_hamiltonian(ModelParams(particles=7, gamma=3, v=2, c=None), "monomial")
+        H = build_generalized_hamiltonian(
+            ModelParams(particles=7, gamma=3, v=2, c=None), "monomial")
         for row in H.entries:
             for entry in row:
                 for g in entry.coeffs.values():
@@ -185,15 +189,8 @@ class TestHamiltonian:
 
     def test_formal_c_requires_monomial(self):
         with pytest.raises(UsageError):
-            build_hamiltonian(ModelParams(particles=3, gamma=1, v=1, c=None), "orthonormal")
-
-    def test_pert_power_guard(self):
-        with pytest.raises(UsageError):
-            build_hamiltonian(ModelParams(particles=3, gamma=1, v=1, c=0, pert_power=3))
-        H = build_generalized_hamiltonian(
-            ModelParams(particles=3, gamma=1, v=1, c=None, pert_power=3), "monomial"
-        )
-        assert H.dim == 4
+            build_generalized_hamiltonian(
+                ModelParams(particles=3, gamma=1, v=1, c=None), "orthonormal")
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(UsageError):
@@ -274,7 +271,7 @@ class TestParity:
             v=float(rng.uniform(0.5, 2)),
             c=float(rng.uniform(0, 1)),
         )
-        H = build_hamiltonian(params, "orthonormal").array
+        H = build_generalized_hamiltonian(params, "orthonormal").array
         P = parity_matrix(N + 1).array
         assert np.abs(P @ H.conj().T @ P - H).max() <= 1e-14
 
@@ -282,22 +279,23 @@ class TestParity:
 class TestMotherEPNilpotency:
     @pytest.mark.parametrize("N,v", [(1, 1), (5, 1), (5, 2), (9, 1)])
     def test_full_jordan_block(self, N, v):
-        H = build_hamiltonian(ModelParams(particles=N, gamma=v, v=v, c=0), "monomial")
+        H = build_generalized_hamiltonian(ModelParams(particles=N, gamma=v, v=v, c=0), "monomial")
         assert not H.power(N).is_zero()
         assert H.power(N + 1).is_zero()
 
     def test_power_is_repeated_matmul(self):
-        H = build_hamiltonian(ModelParams(particles=4, gamma=rat("1/3"), v=1, c=rat("1/7")),
-                              "monomial")
-        expected = OperatorMatrix.exact_identity(H.dim)
-        for k in range(5):
+        H = build_generalized_hamiltonian(
+            ModelParams(particles=4, gamma=rat("1/3"), v=1, c=rat("1/7")), "monomial")
+        expected = H
+        for k in range(1, 5):
             assert H.power(k).entries == expected.entries
             expected = expected.matmul(H)
-        with pytest.raises(ValueError):
-            H.power(-1)
+        for k in (0, -1):
+            with pytest.raises(ValueError):
+                H.power(k)
 
     def test_n1_explicit(self):
-        H = build_hamiltonian(ModelParams(particles=1, gamma=1, v=1, c=0), "monomial")
+        H = build_generalized_hamiltonian(ModelParams(particles=1, gamma=1, v=1, c=0), "monomial")
         arr = H.to_complex()
         assert np.allclose(arr, [[1j, 1], [1, -1j]])
         assert np.allclose(arr @ arr, 0.0)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from epspectra import ep_locator, spectra
-from epspectra.exact_poly import Rational, rat
-from epspectra.operators import ModelParams, build_hamiltonian
+from epspectra.exact_poly import Rational, charpoly_of_tridiagonal, rat
+from epspectra.operators import ModelParams, build_generalized_hamiltonian
 from epspectra.spectra import (
     ClassificationError,
     SpectralError,
@@ -24,7 +24,8 @@ from epspectra.spectra import (
 
 
 def float_hamiltonian(N, gamma, v=1.0, c=0.0):
-    return build_hamiltonian(ModelParams(particles=N, gamma=gamma, v=v, c=c), "orthonormal")
+    return build_generalized_hamiltonian(
+        ModelParams(particles=N, gamma=gamma, v=v, c=c), "orthonormal")
 
 
 class TestEigenvalues:
@@ -43,20 +44,25 @@ class TestEigenvalues:
 
     def test_dense_route_matches_charpoly_route(self):
         Hf = float_hamiltonian(5, 1.0, 1.0, 0.02)
-        He = build_hamiltonian(
+        He = build_generalized_hamiltonian(
             ModelParams(particles=5, gamma=1, v=1, c=rat("0.02")), "monomial"
         )
         assert optimal_match_distance(eigenvalues(Hf), exact_spectrum(He)) <= 1e-8
 
     def test_formal_parameter_needs_a_value(self):
-        # a matrix that still carries c has no spectrum until c is fixed
-        H = build_hamiltonian(ModelParams(particles=3, gamma=1, v=1, c=None), "monomial")
+        # a matrix that still carries c has no spectrum until c is fixed;
+        # fixing it in the matrix or in the polynomial gives the same bits
+        H = build_generalized_hamiltonian(
+            ModelParams(particles=3, gamma=1, v=1, c=None), "monomial")
         with pytest.raises(ValueError, match="formal parameter 'c'"):
             exact_spectrum(H)
         with pytest.raises(ValueError, match="formal parameter 'c'"):
             eigenvalues(H)
-        fixed = build_hamiltonian(ModelParams(particles=3, gamma=1, v=1, c=rat("1/50")), "monomial")
-        assert np.array_equal(exact_spectrum(H, rat("1/50")), exact_spectrum(fixed))
+        fixed = build_generalized_hamiltonian(
+            ModelParams(particles=3, gamma=1, v=1, c=rat("1/50")), "monomial")
+        assert np.array_equal(
+            spectra.eigenvalues_from_charpoly(charpoly_of_tridiagonal(H), rat("1/50")),
+            exact_spectrum(fixed))
 
     def test_backward_stability_contract(self):
         rng = np.random.default_rng(3)
@@ -75,15 +81,19 @@ class TestEigenvalues:
 
     def test_sweep_stacks_match_one_point_solves(self):
         # N=40 puts 38 matrices in one 1 MiB block, so 100 points take three
-        # stacked solves; each spectrum keeps the bits of its own solve
+        # stacked solves; each spectrum keeps the bits of its own solve, and
+        # each scale is max(1, max|H|) of its own matrix
         params = ModelParams(particles=40, gamma=0.0, v=1.0, c=0.0025, pert_power=3)
         grid = np.linspace(0.0, 1.5, 100)
         swept = sweep(params, "gamma", grid)
-        for g, spec in zip(grid, swept):
+        family = spectra.build_generalized_hamiltonian(params, "orthonormal").family
+        scales = [s for block in spectra.stacked_spectra(family, "gamma", grid, str)
+                  for s in block[2]]
+        for g, spec, scale in zip(grid, swept, scales):
             one = spectra.build_generalized_hamiltonian(replace(params, gamma=float(g)))
             assert spec.params.gamma == g
             assert spec.eigenvalues.tobytes() == eigenvalues(one).tobytes()
-            assert spec.scale == max(1.0, one.max_abs())
+            assert scale == max(1.0, one.max_abs())
 
     def test_stack_failure_names_its_point(self):
         params = ModelParams(particles=3, gamma=0.0, v=1.0, c=0.1)
@@ -123,7 +133,8 @@ class TestAnalyticC0:
         worst = 0.0
         for k in range(21):
             g = Rational(2 * k) / 20
-            He = build_hamiltonian(ModelParams(particles=N, gamma=g, v=1, c=0), "monomial")
+            He = build_generalized_hamiltonian(
+                ModelParams(particles=N, gamma=g, v=1, c=0), "monomial")
             ana = analytic_c0_spectrum(ModelParams(particles=N, gamma=float(g), v=1.0, c=0.0))
             worst = max(worst, optimal_match_distance(exact_spectrum(He), ana))
         assert worst <= 1e-9 * N * 2.0
@@ -132,7 +143,7 @@ class TestAnalyticC0:
 class TestSweepAndMatching:
     def test_single_point(self):
         out = sweep(ModelParams(particles=3, gamma=0.0, v=1.0, c=0.1), "gamma", [0.7])
-        assert len(out) == 1 and out[0].count == 4
+        assert len(out) == 1 and len(out[0].eigenvalues) == 4
 
     def test_identity_matching_for_separated_branches(self):
         params = ModelParams(particles=2, gamma=0.0, v=1.0, c=0.0)
@@ -170,7 +181,6 @@ class TestSweepAndMatching:
         return Spectrum(
             params=ModelParams(particles=6, gamma=t, v=1.0, c=0.0),
             eigenvalues=vals,
-            scale=1.0,
         )
 
     def test_jordan_toy_flags_and_refinement_localizes(self):
@@ -223,7 +233,8 @@ class TestSweepAndMatching:
         i = np.searchsorted(grid, lo, side="right") - 1
         assert hi - lo <= (grid[i + 1] - grid[i]) / 2**12
         assert lo < 0.00213593 < hi
-        tol = 1e-7 * spectra.sweep(params, "c", [hi])[0].scale
+        H = build_generalized_hamiltonian(replace(params, c=hi), "orthonormal")
+        tol = 1e-7 * max(1.0, H.max_abs())
         counts = [ep_locator._exact_count(11, 0.9, 1.0, c, tol) for c in (lo, hi)]
         assert abs(counts[1] - counts[0]) == 1
 
@@ -263,7 +274,7 @@ class TestDepartureDirections:
     def test_n11_triplet_star_at_small_c(self):
         # at gamma = v the twelve eigenvalues leave the fully degenerate
         # point along three directions with phases pi and pi -+ 2 pi / 3
-        H = build_hamiltonian(
+        H = build_generalized_hamiltonian(
             ModelParams(particles=11, gamma=1, v=1, c=rat("1e-5") / 11), "monomial"
         )
         ev = exact_spectrum(H)
@@ -306,21 +317,25 @@ class TestKreinSymmetries:
             N = int(rng.integers(2, 11))
             g = rat(float(rng.uniform(0, 2)))
             c = rat(float(rng.uniform(0, 1.0 / N)))
-            H = build_hamiltonian(ModelParams(particles=N, gamma=g, v=1, c=c), "monomial")
+            H = build_generalized_hamiltonian(
+                ModelParams(particles=N, gamma=g, v=1, c=c), "monomial")
             ev = exact_spectrum(H)
             assert optimal_match_distance(ev, np.conj(ev)) <= 1e-9 * max(1.0, H.max_abs())
 
     def test_gamma_sign_symmetry(self):
-        H = build_hamiltonian(ModelParams(particles=7, gamma=rat("0.8"), v=1, c=rat("0.1")), "monomial")
-        Hm = build_hamiltonian(ModelParams(particles=7, gamma=rat("-0.8"), v=1, c=rat("0.1")), "monomial")
+        H = build_generalized_hamiltonian(
+            ModelParams(particles=7, gamma=rat("0.8"), v=1, c=rat("0.1")), "monomial")
+        Hm = build_generalized_hamiltonian(
+            ModelParams(particles=7, gamma=rat("-0.8"), v=1, c=rat("0.1")), "monomial")
         assert optimal_match_distance(exact_spectrum(H), exact_spectrum(Hm)) <= 1e-9 * 8
 
     def test_sign_closure_only_at_c_zero(self):
         N = 11
-        H0 = build_hamiltonian(ModelParams(particles=N, gamma=rat("0.5"), v=1, c=0), "monomial")
+        H0 = build_generalized_hamiltonian(
+            ModelParams(particles=N, gamma=rat("0.5"), v=1, c=0), "monomial")
         ev0 = exact_spectrum(H0)
         assert optimal_match_distance(ev0, -ev0) <= 1e-9 * max(1.0, H0.max_abs())
-        Hc = build_hamiltonian(
+        Hc = build_generalized_hamiltonian(
             ModelParams(particles=N, gamma=rat("0.5"), v=1, c=rat("0.5") / N), "monomial"
         )
         evc = exact_spectrum(Hc)
