@@ -16,7 +16,6 @@ from .exact_poly import (
     Rational,
     charpoly_of_tridiagonal,
     faddeev_leverrier,
-    parse_exact_decimal,
     rat,
     verify_trace_structure,
 )
@@ -49,7 +48,6 @@ from .newton_polygon import (
 )
 from .spectra import (
     Classification,
-    Spectrum,
     Trajectory,
     analytic_c0_spectrum,
     classify,

@@ -48,6 +48,10 @@ class RangeSpec:
             return np.geomspace(self.lo, self.hi, self.steps)
         return np.linspace(self.lo, self.hi, self.steps)
 
+    def meta(self) -> dict:
+        """The grid as the JSON metadata records it."""
+        return {"min": self.lo, "max": self.hi, "steps": self.steps, "spacing": self.spacing}
+
 
 def parse_range(text: str) -> RangeSpec:
     parts = text.split(":")
@@ -128,15 +132,16 @@ def cmd_spectrum(args) -> int:
     v, c = _float(args.v), _float(args.c)
     params = ModelParams(particles=args.particles, gamma=0.0, v=v, c=c,
                          pert_power=args.pert_power)
-    result = spectra.sweep(params, "gamma", rng.grid())
+    grid = rng.grid()
+    rows = spectra.sweep(params, "gamma", grid)
     meta = {
         "N": args.particles,
         "v": v,
         "c": c,
         "vary": "gamma",
-        "grid": {"min": rng.lo, "max": rng.hi, "steps": rng.steps, "spacing": rng.spacing},
+        "grid": rng.meta(),
     }
-    _emit_sweep(result, "gamma", meta, args.format, args.output, "param")
+    _emit_sweep(grid, rows, meta, args.format, args.output, "param")
     return 0
 
 
@@ -147,15 +152,15 @@ def cmd_trajectory(args) -> int:
                          pert_power=args.pert_power)
     grid = rng.grid()
     if len(grid) == 1:
-        result = spectra.sweep(params, "c", grid)
+        rows = spectra.sweep(params, "c", grid)
         meta = {
             "N": args.particles,
             "v": v,
             "gamma": gamma,
             "vary": "c",
-            "grid": {"min": rng.lo, "max": rng.hi, "steps": rng.steps, "spacing": rng.spacing},
+            "grid": rng.meta(),
         }
-        _emit_sweep(result, "c", meta, args.format, args.output, "c")
+        _emit_sweep(grid, rows, meta, args.format, args.output, "c")
         return 0
     trajectories, unresolved = spectra.matched_sweep(params, "c", grid)
     lines = []
@@ -174,7 +179,7 @@ def cmd_trajectory(args) -> int:
                 "N": args.particles,
                 "v": v,
                 "gamma": gamma,
-                "grid": {"min": rng.lo, "max": rng.hi, "steps": rng.steps, "spacing": rng.spacing},
+                "grid": rng.meta(),
                 "unresolved_steps": [list(u) for u in unresolved],
             },
             "trajectories": [
@@ -201,28 +206,27 @@ def cmd_trajectory(args) -> int:
     return 0
 
 
-def _emit_sweep(result, vary, meta, fmt, output, param_header):
+def _emit_sweep(grid, rows, meta, fmt, output, param_header):
     if fmt == "json":
         doc = {
             "metadata": meta,
             "spectra": [
                 {
-                    "param": float(getattr(spec.params, vary)),
-                    "eigenvalues": [
-                        {"re": float(z.real), "im": float(z.imag)} for z in spec.eigenvalues
-                    ],
+                    "param": float(x),
+                    "eigenvalues": [{"re": float(z.real), "im": float(z.imag)} for z in row],
                 }
-                for spec in result
+                for x, row in zip(grid, rows)
             ],
         }
         text = _json_doc(doc)
     else:
         sep = "," if fmt == "csv" else " "
+        # one string per grid point, so the rows' lines do not all live at once
         lines = [sep.join((param_header, "branch", "re", "im"))]
-        for spec in result:
-            p = _fmt(getattr(spec.params, vary))
-            for b, z in enumerate(spec.eigenvalues):
-                lines.append(sep.join((p, str(b), _fmt(z.real), _fmt(z.imag))))
+        for x, row in zip(grid, rows):
+            p = _fmt(x)
+            lines.append("\n".join(sep.join((p, str(b), _fmt(z.real), _fmt(z.imag)))
+                                   for b, z in enumerate(row)))
         text = "\n".join(lines) + "\n"
     _write(output, text)
 
@@ -330,7 +334,7 @@ def cmd_ep_map(args) -> int:
                 "N": args.particles,
                 "v": v,
                 "tol": args.tol,
-                "grid": {"min": rng.lo, "max": rng.hi, "steps": rng.steps, "spacing": rng.spacing},
+                "grid": rng.meta(),
             },
             "map": [
                 {

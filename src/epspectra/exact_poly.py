@@ -15,9 +15,10 @@ The production route is the O(M^2) determinant continuant on a tridiagonal
 matrix (``charpoly_of_tridiagonal``); the model Hamiltonian is tridiagonal
 in the monomial basis for every perturbation power. The continuant clears
 denominators first: with D the lcm of the entries' denominators, D H has
-Gaussian-integer entries, so the recursion and its traces run on (re, im)
-pairs of Python ints and divide by D^k once at the end. Its speed then
-does not depend on which ``Rational`` backend is installed. The
+Gaussian-integer entries, so the recursion runs on (re, im) pairs of
+Python ints and divides by D^k once at the end. Its speed then does not
+depend on which ``Rational`` backend is installed. A ``CharPoly`` stores
+only the p_k; its traces s_k follow from them by Newton's identities. The
 Le Verrier-Faddeev trace recursion
 
     p_k = -(1/k) * sum_{j=1..k} s_j p_{k-j},   s_k = tr(M^k),
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 try:
     from gmpy2 import mpq as Rational
@@ -55,52 +57,15 @@ _ZERO = Rational(0)
 def rat(value):
     """Coerce to an exact rational.
 
-    Accepts ints, rationals, strings like ``"-3/4"`` or ``"0.125"``, and
-    floats (converted exactly, i.e. as the dyadic rational the float is).
+    Accepts ints, rationals, strings like ``"-3/4"``, ``"0.125"`` or
+    ``"2.5e-3"`` (the exact number written: ``"0.1"`` is 1/10, not the
+    nearest double), and floats (converted exactly, i.e. as the dyadic
+    rational the float is).
     """
-    if isinstance(value, str):
-        s = value.strip()
-        if "/" in s:
-            num, d = s.split("/")
-            return Rational(int(num)) / Rational(int(d))
-        return parse_exact_decimal(s)
-    if isinstance(value, float):
-        from fractions import Fraction
-
-        f = Fraction(value)  # exact binary expansion
+    if isinstance(value, (str, float)):
+        f = Fraction(value)
         return Rational(f.numerator) / Rational(f.denominator)
     return Rational(value)
-
-
-def parse_exact_decimal(text: str):
-    """Parse a decimal string into the exact rational it denotes.
-
-    ``"0.1"`` becomes 1/10 (not the nearest double). Exponent notation
-    ``"2.5e-3"`` is supported.
-    """
-    s = text.strip().lower()
-    exp = 0
-    if "e" in s:
-        s, e = s.split("e")
-        exp = int(e)
-    sign = 1
-    if s.startswith(("+", "-")):
-        sign = -1 if s[0] == "-" else 1
-        s = s[1:]
-    if "." in s:
-        whole, frac = s.split(".")
-    else:
-        whole, frac = s, ""
-    if not (whole + frac).isdigit() or (whole + frac) == "":
-        raise ValueError(f"not a decimal literal: {text!r}")
-    num = int(whole + frac) if whole + frac else 0
-    den = 10 ** len(frac)
-    value = Rational(sign * num) / Rational(den)
-    if exp > 0:
-        value *= Rational(10) ** exp
-    elif exp < 0:
-        value /= Rational(10) ** (-exp)
-    return value
 
 
 class GaussianRational:
@@ -321,28 +286,20 @@ class CharPoly:
     """Characteristic polynomial with exact parameter-polynomial coefficients.
 
     ``paper_coeffs[k]`` is p_k in chi(lambda) = -sum_k p_{M-k} lambda^k with
-    p_0 = -1; ``traces[k]`` caches s_k = tr(M^k) (index 0 unused).
+    p_0 = -1, for k = 0..M.
     """
 
-    dim: int
     paper_coeffs: list
-    traces: list
     param: str = "c"
 
     def __post_init__(self):
-        if len(self.paper_coeffs) != self.dim + 1:
-            raise ValueError("need p_0..p_M")
-        p0 = self.paper_coeffs[0]
-        if p0 != ParamPoly.const(GaussianRational(-1)):
+        p = self.paper_coeffs
+        if not p or p[0] != ParamPoly.const(GaussianRational(-1)):
             raise ValueError("paper normalization requires p_0 = -1")
 
-    @classmethod
-    def from_paper_coeffs(cls, paper_coeffs, param="c") -> "CharPoly":
-        """CharPoly whose traces are filled in by Newton's identities."""
-        cp = cls(dim=len(paper_coeffs) - 1, paper_coeffs=paper_coeffs,
-                 traces=[None] * len(paper_coeffs), param=param)
-        cp.traces = cp.newton_identity_traces()
-        return cp
+    @property
+    def dim(self) -> int:
+        return len(self.paper_coeffs) - 1
 
     def rescaled(self, g, param=None) -> "CharPoly":
         """The same polynomial in a new parameter t, where old parameter = g * t.
@@ -353,7 +310,7 @@ class CharPoly:
         g = g if isinstance(g, GaussianRational) else GaussianRational(g)
         p = [ParamPoly({e: c * _power(g, e) for e, c in q.coeffs.items()})
              for q in self.paper_coeffs]
-        return CharPoly.from_paper_coeffs(p, param or self.param)
+        return CharPoly(p, param or self.param)
 
     def monic_coefficients(self):
         """Coefficients of det(lambda I - M), ascending in lambda power."""
@@ -364,11 +321,10 @@ class CharPoly:
         """Monic coefficients (ascending) as complex numbers at a parameter value."""
         return [complex(p.substitute(value)) for p in self.monic_coefficients()]
 
-    def newton_identity_traces(self):
-        """Recompute s_k from the final p_k via Newton's identities.
+    def traces(self):
+        """s_k = tr(M^k) for k = 1..M (index 0 unused), by Newton's identities.
 
-        s_k = k p_k + sum_{j=1..k-1} s_j p_{k-j}; used as an exact
-        cross-check of the cached traces.
+        s_k = k p_k + sum_{j=1..k-1} s_j p_{k-j}.
         """
         M = self.dim
         p = self.paper_coeffs
@@ -401,19 +357,17 @@ def faddeev_leverrier(matrix) -> CharPoly:
         raise TypeError("faddeev_leverrier requires an exact operator matrix")
     M = matrix.dim
     s = [None] * (M + 1)
+    p = [ParamPoly.const(GaussianRational(-1))]
     power = matrix
     for k in range(1, M + 1):
         s[k] = power.trace()
         if k < M:
             power = power.matmul(matrix)
-    p = [None] * (M + 1)
-    p[0] = ParamPoly.const(GaussianRational(-1))
-    for k in range(1, M + 1):
         acc = ParamPoly()
         for j in range(1, k + 1):
             acc = acc + s[j] * p[k - j]
-        p[k] = acc.scale(GaussianRational(Rational(-1) / Rational(k)))
-    return CharPoly(dim=M, paper_coeffs=p, traces=s, param=matrix.param or "c")
+        p.append(acc.scale(GaussianRational(Rational(-1) / Rational(k))))
+    return CharPoly(p, param=matrix.param or "c")
 
 
 def _add_product(acc: dict, p: dict, q: dict) -> None:
@@ -460,11 +414,9 @@ def charpoly_of_tridiagonal(matrix) -> CharPoly:
     integers: with D the lcm of every real and imaginary denominator of the
     diagonal a_j and the off-diagonal products b_j c_j, the matrix A = D H
     has diagonal D a_j and products D^2 b_j c_j, all Gaussian integers. The
-    continuant of A and its traces (by Newton's identities) run over
-    polynomials in (lambda, parameter) whose coefficients are (re, im)
-    pairs of Python ints, and one division at the end gives
-    p_k(H) = p_k(A) / D^k and s_k(H) = s_k(A) / D^k. Faddeev-LeVerrier is
-    the test oracle for both.
+    continuant of A runs over polynomials in (lambda, parameter) whose
+    coefficients are (re, im) pairs of Python ints, and one division at the
+    end gives p_k(H) = p_k(A) / D^k. Faddeev-LeVerrier is its test oracle.
     """
     if getattr(matrix, "entry_kind", None) != "exact":
         raise TypeError("charpoly_of_tridiagonal requires an exact operator matrix")
@@ -493,20 +445,9 @@ def charpoly_of_tridiagonal(matrix) -> CharPoly:
             for i, coeff in enumerate(d_prev):
                 _add_product(nxt[i], coeff, neg_off[j - 1])
         d_prev, d_cur = d_cur, [_nonzero(acc) for acc in nxt]
-    # p_k = -(lambda^{M-k} coefficient); s_k = k p_k + sum_{j<k} s_j p_{k-j}
+    # p_k = -(lambda^{M-k} coefficient)
     p = [{e: (-re, -im) for e, (re, im) in d_cur[M - k].items()} for k in range(M + 1)]
-    s = [None] * (M + 1)
-    for k in range(1, M + 1):
-        acc = {e: (k * re, k * im) for e, (re, im) in p[k].items()}
-        for j in range(1, k):
-            _add_product(acc, s[j], p[k - j])
-        s[k] = _nonzero(acc)
-    return CharPoly(
-        dim=M,
-        paper_coeffs=[_divided(p[k], D**k) for k in range(M + 1)],
-        traces=[None] + [_divided(s[k], D**k) for k in range(1, M + 1)],
-        param=matrix.param or "c",
-    )
+    return CharPoly([_divided(p[k], D**k) for k in range(M + 1)], param=matrix.param or "c")
 
 
 @dataclass
@@ -545,8 +486,8 @@ def verify_trace_structure(charpoly: CharPoly) -> TraceStructureReport:
             terms.append((allowed[e], coeff))
         return terms
 
+    traces = charpoly.traces()
     for k in range(1, charpoly.dim + 1):
-        if charpoly.traces[k] is not None:
-            report.trace_terms[k] = decompose(charpoly.traces[k], k, "s")
         report.coeff_terms[k] = decompose(charpoly.paper_coeffs[k], k, "p")
+        report.trace_terms[k] = decompose(traces[k], k, "s")
     return report

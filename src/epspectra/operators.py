@@ -4,8 +4,8 @@ The N-particle two-mode system maps onto angular momentum l = N/2 acting on
 an (N+1)-dimensional space. Two bases are provided:
 
 * ``orthonormal``: the standard |l, m> basis with square-root ladder
-  entries; matrices are floating complex and the Hamiltonian is complex
-  symmetric there.
+  entries; matrices are complex ndarrays and the Hamiltonian, a
+  ``HamiltonianFamily``, is complex symmetric there.
 * ``monomial``: the xi^n realization (L_z = xi d/dxi - l, L_+ =
   -xi^2 d/dxi + 2 l xi, L_- = d/dxi) whose ladder entries are integers, so
   exact rational arithmetic is possible. Characteristic polynomials agree
@@ -100,49 +100,29 @@ class ModelParams:
 
 
 class OperatorMatrix:
-    """Dense square matrix, either floating complex or exact.
+    """Dense square matrix of exact entries.
 
-    Exact entries are ParamPoly values in one formal parameter (possibly of
-    degree zero). Instances are immutable by convention; all operations
-    return new matrices. A float Hamiltonian from
-    ``build_generalized_hamiltonian`` carries its ``HamiltonianFamily`` as
-    ``family``, so a sweep over gamma or c builds once; other matrices have
-    ``family = None``.
+    Entries are ParamPoly values in one formal parameter (possibly of degree
+    zero). Instances are immutable by convention; all operations return new
+    matrices. Floating matrices are plain complex ndarrays.
     """
 
-    def __init__(self, entries, entry_kind, param=None):
-        self.entry_kind = entry_kind
+    entry_kind = "exact"
+
+    def __init__(self, entries, param=None):
         self.param = param
-        self.family = None
-        if entry_kind == "float":
-            self.array = np.asarray(entries, dtype=complex)
-            if self.array.ndim != 2 or self.array.shape[0] != self.array.shape[1]:
-                raise ValueError("operator matrices are square")
-            self.dim = self.array.shape[0]
-            self.entries = None
-        elif entry_kind == "exact":
-            self.entries = entries
-            self.dim = len(entries)
-            if any(len(row) != self.dim for row in entries):
-                raise ValueError("operator matrices are square")
-            self.array = None
-        else:
-            raise ValueError(f"unknown entry kind {entry_kind!r}")
+        self.entries = entries
+        self.dim = len(entries)
+        if any(len(row) != self.dim for row in entries):
+            raise ValueError("operator matrices are square")
 
     # -- exact algebra ----------------------------------------------------
 
     @classmethod
     def exact_zeros(cls, dim, param=None):
-        rows = [[ParamPoly() for _ in range(dim)] for _ in range(dim)]
-        return cls(rows, "exact", param)
-
-    def _require_exact(self):
-        if self.entry_kind != "exact":
-            raise TypeError("operation requires an exact matrix")
+        return cls([[ParamPoly() for _ in range(dim)] for _ in range(dim)], param)
 
     def matmul(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._require_exact()
-        other._require_exact()
         n = self.dim
         A, B = self.entries, other.entries
         C = [[ParamPoly() for _ in range(n)] for _ in range(n)]
@@ -158,10 +138,9 @@ class OperatorMatrix:
                     if a:
                         acc = acc + a * b
                 C[i][j] = acc
-        return OperatorMatrix(C, "exact", self.param or other.param)
+        return OperatorMatrix(C, self.param or other.param)
 
     def power(self, k: int) -> "OperatorMatrix":
-        self._require_exact()
         if k < 1:
             raise ValueError("matrix power needs k >= 1")
         out = self
@@ -170,40 +149,33 @@ class OperatorMatrix:
         return out
 
     def add(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._require_exact()
         C = [
             [self.entries[i][j] + other.entries[i][j] for j in range(self.dim)]
             for i in range(self.dim)
         ]
-        return OperatorMatrix(C, "exact", self.param or other.param)
+        return OperatorMatrix(C, self.param or other.param)
 
     def scale(self, g: GaussianRational) -> "OperatorMatrix":
-        self._require_exact()
         C = [[self.entries[i][j].scale(g) for j in range(self.dim)] for i in range(self.dim)]
-        return OperatorMatrix(C, "exact", self.param)
+        return OperatorMatrix(C, self.param)
 
     def shift_param(self, n: int) -> "OperatorMatrix":
         """Multiply every entry by parameter**n."""
-        self._require_exact()
         C = [[self.entries[i][j].shift(n) for j in range(self.dim)] for i in range(self.dim)]
-        return OperatorMatrix(C, "exact", self.param)
+        return OperatorMatrix(C, self.param)
 
     def trace(self) -> ParamPoly:
-        self._require_exact()
         acc = ParamPoly()
         for i in range(self.dim):
             acc = acc + self.entries[i][i]
         return acc
 
     def is_zero(self) -> bool:
-        self._require_exact()
         return not any(e for row in self.entries for e in row)
 
     # -- conversions --------------------------------------------------------
 
     def to_complex(self) -> np.ndarray:
-        if self.entry_kind == "float":
-            return self.array.copy()
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for i in range(self.dim):
             for j in range(self.dim):
@@ -213,11 +185,10 @@ class OperatorMatrix:
         return out
 
     def max_abs(self) -> float:
-        arr = self.to_complex() if self.entry_kind == "exact" else self.array
+        arr = self.to_complex()
         return float(np.abs(arr).max()) if arr.size else 0.0
 
     def is_tridiagonal(self) -> bool:
-        self._require_exact()
         return all(
             not self.entries[i][j]
             for i in range(self.dim)
@@ -229,12 +200,12 @@ class OperatorMatrix:
 # -- ladder and Cartesian operators -----------------------------------------
 
 
-def build_ladder(rep: AngularMomentumRep, which: str, basis: str = "orthonormal") -> OperatorMatrix:
+def build_ladder(rep: AngularMomentumRep, which: str, basis: str = "orthonormal"):
     """L_+ or L_- in the requested basis.
 
     Orthonormal: <l,m+-1| L_+- |l,m> = sqrt((l -+ m)(l +- m + 1)), irrational
-    in general, floating entries. Monomial (exact): L_+ xi^n = (2l-n)
-    xi^{n+1} and L_- xi^n = n xi^{n-1}.
+    in general, a complex ndarray. Monomial (exact OperatorMatrix): L_+ xi^n
+    = (2l-n) xi^{n+1} and L_- xi^n = n xi^{n-1}.
     """
     if which not in ("plus", "minus"):
         raise ValueError("which must be 'plus' or 'minus'")
@@ -249,7 +220,7 @@ def build_ladder(rep: AngularMomentumRep, which: str, basis: str = "orthonormal"
                 A[n + 1, n] = np.sqrt((l - m) * (l + m + 1))
             if which == "minus" and n - 1 >= 0:
                 A[n - 1, n] = np.sqrt((l + m) * (l - m + 1))
-        return OperatorMatrix(A, "float")
+        return A
     if basis == "monomial":
         M = OperatorMatrix.exact_zeros(dim)
         for n in range(dim):
@@ -261,12 +232,12 @@ def build_ladder(rep: AngularMomentumRep, which: str, basis: str = "orthonormal"
     raise ValueError("basis must be 'orthonormal' or 'monomial'")
 
 
-def build_cartesian(rep: AngularMomentumRep, axis: str, basis: str = "orthonormal") -> OperatorMatrix:
+def build_cartesian(rep: AngularMomentumRep, axis: str, basis: str = "orthonormal"):
     """L_x = (L_+ + L_-)/2, L_y = (L_+ - L_-)/(2i), L_z = diag(m)."""
     if axis == "z":
         if basis == "orthonormal":
             m = np.arange(rep.dim) - rep.particles / 2.0
-            return OperatorMatrix(np.diag(m.astype(complex)), "float")
+            return np.diag(m.astype(complex))
         M = OperatorMatrix.exact_zeros(rep.dim)
         for n, m in enumerate(rep.m_values()):
             M.entries[n][n] = ParamPoly.const(GaussianRational(m))
@@ -275,9 +246,9 @@ def build_cartesian(rep: AngularMomentumRep, axis: str, basis: str = "orthonorma
     lm = build_ladder(rep, "minus", basis)
     if basis == "orthonormal":
         if axis == "x":
-            return OperatorMatrix((lp.array + lm.array) / 2.0, "float")
+            return (lp + lm) / 2.0
         if axis == "y":
-            return OperatorMatrix((lp.array - lm.array) / 2j, "float")
+            return (lp - lm) / 2j
     else:
         half = GaussianRational(Rational(1, 2))
         if axis == "x":
@@ -298,7 +269,8 @@ class HamiltonianFamily:
 
     2 v L_x, L_z and L_z^k are built once per (N, v, k); ``stack`` writes
     only the diagonal -2i gamma L_z + 2 c L_z^k, so every matrix costs one
-    copy plus a diagonal. ``params`` fixes the parameter that is not varied.
+    copy plus a diagonal. ``params`` fixes the parameter that is not varied,
+    and ``array`` is H at ``params`` (the one-point stack).
     """
 
     def __init__(self, params: ModelParams):
@@ -319,30 +291,38 @@ class HamiltonianFamily:
     def stack(self, vary: str, values) -> np.ndarray:
         """H at each value of ``vary`` ("gamma" or "c"): shape (len(values), N+1, N+1)."""
         x = np.asarray(values, dtype=float)[:, None]
-        if vary == "gamma":
-            diag = -2j * x * self.lz + 2.0 * self.c * self.lz_k
-        elif vary == "c":
-            diag = -2j * self.gamma * self.lz + 2.0 * x * self.lz_k
-        else:
-            raise ValueError("vary must be 'gamma' or 'c'")
+        # an overflowing value leaves inf or nan on the diagonal, which
+        # ``spectra.eigenvalues`` reports with the point that produced it
+        with np.errstate(over="ignore", invalid="ignore"):
+            if vary == "gamma":
+                diag = -2j * x * self.lz + 2.0 * self.c * self.lz_k
+            elif vary == "c":
+                diag = -2j * self.gamma * self.lz + 2.0 * x * self.lz_k
+            else:
+                raise ValueError("vary must be 'gamma' or 'c'")
         out = np.empty((len(x), self.dim, self.dim), dtype=complex)
         out[:] = self.tunneling
         d = np.arange(self.dim)
         out[:, d, d] += diag
         return out
 
+    @property
+    def array(self) -> np.ndarray:
+        return self.stack("gamma", [self.gamma])[0]
 
-def build_generalized_hamiltonian(params: ModelParams, basis: str = "orthonormal") -> OperatorMatrix:
+    def max_abs(self) -> float:
+        return float(np.abs(self.array).max())
+
+
+def build_generalized_hamiltonian(params: ModelParams, basis: str = "orthonormal"):
     """H = -2i gamma L_z + 2 v L_x + 2 c L_z^k for any k >= 1.
 
-    The orthonormal matrix is the one-point stack of its
-    ``HamiltonianFamily``, which it carries as ``family``.
+    The orthonormal basis gives the ``HamiltonianFamily`` at ``params``, so
+    a sweep over gamma or c builds once; the monomial basis gives an exact
+    OperatorMatrix.
     """
     if basis == "orthonormal":
-        family = HamiltonianFamily(params)
-        H = OperatorMatrix(family.stack("gamma", [family.gamma])[0], "float")
-        H.family = family
-        return H
+        return HamiltonianFamily(params)
     if basis != "monomial":
         raise ValueError("basis must be 'orthonormal' or 'monomial'")
     rep = params.rep
@@ -404,12 +384,15 @@ def build_rotated_hamiltonian(params: ModelParams) -> OperatorMatrix:
     return H
 
 
-def parity_matrix(dim: int, kind: str = "float") -> OperatorMatrix:
-    """The standard involutory permutation (anti-diagonal ones); P^2 = I."""
+def parity_matrix(dim: int, kind: str = "float"):
+    """The standard involutory permutation (anti-diagonal ones); P^2 = I.
+
+    A complex ndarray for ``kind="float"``, else an exact OperatorMatrix.
+    """
     if kind == "float":
         P = np.zeros((dim, dim), dtype=complex)
         P[np.arange(dim), dim - 1 - np.arange(dim)] = 1.0
-        return OperatorMatrix(P, "float")
+        return P
     M = OperatorMatrix.exact_zeros(dim)
     for i in range(dim):
         M.entries[i][dim - 1 - i] = ParamPoly.const(GR_ONE)

@@ -13,7 +13,7 @@ exact coefficients do not). Each serves as the other's oracle in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -25,7 +25,6 @@ from .operators import ModelParams, OperatorMatrix, build_generalized_hamiltonia
 __all__ = [
     "SpectralError",
     "ClassificationError",
-    "Spectrum",
     "Trajectory",
     "Classification",
     "eigenvalues",
@@ -59,18 +58,14 @@ def _sorted_eigs(vals: np.ndarray) -> np.ndarray:
 
 
 def eigenvalues(matrix, context: str = "") -> np.ndarray:
-    """All eigenvalues, deterministically ordered by (Re, Im).
+    """All eigenvalues of a float matrix by the dense LAPACK solver, ordered by (Re, Im).
 
-    Floating matrices go through the dense LAPACK solver; a stack of shape
-    (..., M, M) gives each matrix's sorted eigenvalues along the last axis,
-    the same bits as one call per matrix. Exact parameter-free tridiagonal
-    matrices go through the exact characteristic polynomial and polished
-    companion roots, which is the accurate route at and near exceptional
-    points.
+    A stack of shape (..., M, M) gives each matrix's sorted eigenvalues
+    along the last axis, the same bits as one call per matrix. Exact
+    matrices go through ``exact_spectrum``, the accurate route at and near
+    exceptional points.
     """
-    if isinstance(matrix, OperatorMatrix) and matrix.entry_kind == "exact":
-        return exact_spectrum(matrix, context=context)
-    arr = matrix.array if isinstance(matrix, OperatorMatrix) else np.asarray(matrix, dtype=complex)
+    arr = np.asarray(matrix, dtype=complex)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise SpectralError(f"matrix is not square {context}")
     if not np.all(np.isfinite(arr)):
@@ -94,7 +89,7 @@ def exact_spectrum(matrix: OperatorMatrix, context: str = "") -> np.ndarray:
     The matrix must be parameter-free: one that still carries the formal
     parameter raises ValueError.
     """
-    if matrix.entry_kind != "exact":
+    if getattr(matrix, "entry_kind", None) != "exact":
         raise TypeError("exact_spectrum needs an exact matrix")
     if any(e for row in matrix.entries for p in row for e in p.coeffs):
         raise ValueError(
@@ -121,14 +116,6 @@ def analytic_c0_spectrum(params: ModelParams) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues at one parameter point, sorted by (Re, Im)."""
-
-    params: ModelParams
-    eigenvalues: np.ndarray
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """One branch of an eigenvalue sweep: (parameter, eigenvalue) pairs."""
 
@@ -146,7 +133,7 @@ class Classification:
 def stacked_spectra(family, vary: str, values, context):
     """Sorted eigenvalues and scale max(1, max|H|) of a family's H at each value.
 
-    ``family`` is the ``HamiltonianFamily`` of an orthonormal build. Yields
+    ``family`` is an orthonormal ``HamiltonianFamily``. Yields
     (values, eigenvalues, scales) per stacked eigensolve of at most
     _STACK_BYTES of matrices, so memory does not grow with the number of
     values. A failing block is solved again one matrix at a time, so the
@@ -154,6 +141,10 @@ def stacked_spectra(family, vary: str, values, context):
     """
     values = [float(x) for x in values]
     step = max(1, _STACK_BYTES // (16 * family.dim**2))
+    # only the diagonal varies, so max|H| needs |H| of the diagonal alone
+    # and of the fixed tunneling once, not |H| of the whole stack
+    d = np.arange(family.dim)
+    floor = max(1.0, float(np.abs(family.tunneling).max()))
     for i in range(0, len(values), step):
         xs = values[i:i + step]
         H = family.stack(vary, xs)
@@ -163,29 +154,26 @@ def stacked_spectra(family, vary: str, values, context):
             for x, h in zip(xs, H):
                 eigenvalues(h, context=context(x))
             raise
-        yield xs, vals, np.maximum(1.0, np.abs(H).max(axis=(1, 2))).tolist()
+        yield xs, vals, np.maximum(np.abs(H[:, d, d]).max(axis=1), floor).tolist()
 
 
-def _context(params: ModelParams) -> str:
-    return (f"(N={params.particles}, gamma={float(params.gamma)}, "
-            f"v={float(params.v)}, c={float(params.c)})")
+def _family_spectra(family, vary: str, values) -> np.ndarray:
+    """Sorted eigenvalues at each value of ``vary``, one row per value."""
+    p = family.params
+
+    def context(x):
+        gamma, c = (x, family.c) if vary == "gamma" else (family.gamma, x)
+        return f"(N={p.particles}, gamma={gamma}, v={float(p.v)}, c={c})"
+
+    rows = [block[1] for block in stacked_spectra(family, vary, values, context)]
+    return np.concatenate(rows) if rows else np.empty((0, family.dim), dtype=complex)
 
 
-def _family_spectra(family, vary: str, values) -> list:
-    """One Spectrum per value of ``vary``."""
-    at = lambda x: replace(family.params, **{vary: x})
-    return [
-        Spectrum(params=at(x), eigenvalues=ev)
-        for block in stacked_spectra(family, vary, values, lambda x: _context(at(x)))
-        for x, ev in zip(*block[:2])
-    ]
-
-
-def sweep(params: ModelParams, vary: str, grid) -> list:
-    """One Spectrum per grid point of gamma or c; points are independent."""
+def sweep(params: ModelParams, vary: str, grid) -> np.ndarray:
+    """The (points, N+1) array of sorted eigenvalues at each grid point of gamma or c."""
     if vary not in ("gamma", "c"):
         raise ValueError("vary must be 'gamma' or 'c'")
-    return _family_spectra(build_generalized_hamiltonian(params, "orthonormal").family, vary, grid)
+    return _family_spectra(build_generalized_hamiltonian(params, "orthonormal"), vary, grid)
 
 
 def optimal_match_distance(a, b) -> float:
@@ -217,27 +205,28 @@ def _match_step(prev, cur):
     return ordered, jumps.max() > _JUMP_RATIO * max(np.median(jumps), floor), jumps.max()
 
 
-def match_branches(spectra, vary: str = "gamma"):
+def match_branches(params, spectra):
     """Pair eigenvalues across a sweep by minimum-total-distance assignment.
 
-    Returns (trajectories, flagged_steps). A step is flagged when its
-    largest matched jump exceeds _JUMP_RATIO (10) times the median jump of
-    that step, which indicates the grid is too coarse there (typically near
-    an exceptional point).
+    ``params`` are the swept parameter values and ``spectra`` the eigenvalue
+    rows at them. Returns (trajectories, flagged_steps). A step is flagged
+    when its largest matched jump exceeds _JUMP_RATIO (10) times the median
+    jump of that step, which indicates the grid is too coarse there
+    (typically near an exceptional point).
     """
     if len(spectra) < 2:
         raise ValueError("branch matching needs at least two grid points")
-    params = [float(getattr(s.params, vary)) for s in spectra]
-    rows = [spectra[0].eigenvalues.copy()]
+    rows = [np.array(spectra[0], dtype=complex)]
     flagged = []
     for i, spec in enumerate(spectra[1:]):
-        ordered, jumped, _ = _match_step(rows[-1], spec.eigenvalues)
+        ordered, jumped, _ = _match_step(rows[-1], spec)
         if jumped:
             flagged.append(i)
         rows.append(ordered)
     table = np.array(rows)  # (points, branches)
     trajectories = [
-        Trajectory(branch=b, parameters=np.array(params), values=table[:, b].copy())
+        Trajectory(branch=b, parameters=np.array(params, dtype=float),
+                   values=table[:, b].copy())
         for b in range(table.shape[1])
     ]
     return trajectories, flagged
@@ -255,16 +244,16 @@ def matched_sweep(params: ModelParams, vary: str, grid, max_levels: int = 12,
     point shrinks it only by 1/sqrt(2) and is followed to the floor. Flags
     depend only on a piece's two end spectra, so the sweep is matched once.
 
-    ``evaluate`` maps a parameter value to a Spectrum and defaults to the
-    model Hamiltonian at ``params`` with ``vary`` replaced; it is called
-    once per returned point.
+    ``evaluate`` maps a parameter value to its row of eigenvalues and
+    defaults to the model Hamiltonian at ``params`` with ``vary`` replaced;
+    it is called once per returned point.
 
     Returns (trajectories, unresolved_intervals): the floor pieces still
     flagged and square-root-like, one per branch point crossed inside a
     flagged step, ready to hand to the EP locator.
     """
     if evaluate is None:
-        family = build_generalized_hamiltonian(params, "orthonormal").family
+        family = build_generalized_hamiltonian(params, "orthonormal")
         evaluate = lambda x: _family_spectra(family, vary, [x])[0]
     grid = sorted(float(g) for g in grid)
     if len(grid) < 2:
@@ -277,7 +266,7 @@ def matched_sweep(params: ModelParams, vary: str, grid, max_levels: int = 12,
         pending = [(hi, evaluate(hi), 0.0)]  # a grid step has no parent: halve if flagged
         while pending:
             x, spec, parent = pending[-1]
-            _, flagged, jump = _match_step(spectra[-1].eigenvalues, spec.eigenvalues)
+            _, flagged, jump = _match_step(spectra[-1], spec)
             if flagged and jump > _SHRINK_RATIO * parent:
                 if x - points[-1] > floor:
                     mid = (points[-1] + x) / 2.0
@@ -288,7 +277,7 @@ def matched_sweep(params: ModelParams, vary: str, grid, max_levels: int = 12,
             pending.pop()
             points.append(x)
             spectra.append(spec)
-    trajectories, _ = match_branches(spectra, vary)
+    trajectories, _ = match_branches(points, spectra)
     return trajectories, unresolved
 
 

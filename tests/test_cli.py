@@ -297,6 +297,20 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("numerical failure:")
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "-N", "3", "--gamma", "0:1e308:3", "--c", "1"],
+        ["spectrum", "-N", "4", "--gamma", "0:1:3", "--c", "1e308"],
+        ["trajectory", "-N", "4", "--gamma", "1", "--c", "1e300:1e308:3:log"],
+    ])
+    def test_overflow_is_one_numerical_failure_line(self, argv, capsys):
+        # the overflowing diagonal is reported by the eigensolver guard
+        # alone, with no numpy warning before it
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure:")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
     @pytest.mark.parametrize("v", ["1e400", "1e-400"])
     def test_charpoly_of_any_nonzero_exact_v(self, v, capsys):
         assert main(["charpoly", "-N", "3", "--gamma", "1", "--v", v]) == 0

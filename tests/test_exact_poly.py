@@ -16,7 +16,6 @@ from epspectra.exact_poly import (
     Rational,
     charpoly_of_tridiagonal,
     faddeev_leverrier,
-    parse_exact_decimal,
     rat,
     verify_trace_structure,
 )
@@ -43,13 +42,23 @@ def poly(*terms):
 
 
 class TestRationals:
-    def test_parse_exact_decimal(self):
-        assert parse_exact_decimal("0.1") == Rational(1) / 10
-        assert parse_exact_decimal("2.5e-3") == Rational(1) / 400
-        assert parse_exact_decimal("-12.75") == Rational(-51) / 4
-        assert parse_exact_decimal("3") == 3
+    def test_rat_parses_exact_decimals(self):
+        assert rat("0.1") == Rational(1) / 10
+        assert rat("2.5e-3") == Rational(1) / 400
+        assert rat("-12.75") == Rational(-51) / 4
+        assert rat("3") == 3
         with pytest.raises(ValueError):
-            parse_exact_decimal("1.2.3")
+            rat("1.2.3")
+
+    def test_rat_string_edges(self):
+        # strings are read as Python's Fraction reads them: exact at any
+        # exponent, digit underscores allowed, no sign or spaces around "/"
+        assert rat("1e400") == Rational(10) ** 400
+        assert rat("1_000") == 1000
+        assert rat(" 3/4 ") == Rational(3) / 4
+        for bad in ("3/-4", "3/+4", " 3 / 4", "3/ 4", "3 /4"):
+            with pytest.raises(ValueError):
+                rat(bad)
 
     def test_rat_from_string_and_float(self):
         assert rat("-3/4") == Rational(-3) / 4
@@ -131,7 +140,7 @@ class TestFaddeevLeVerrier:
         cp = rotated_charpoly(5)
         assert cp.paper_coeffs[0] == poly((0, -1))
         # p_1 = s_1 = tr(H~), a pure c^1 term
-        assert cp.paper_coeffs[1] == cp.traces[1]
+        assert cp.paper_coeffs[1] == cp.traces()[1]
         assert set(cp.paper_coeffs[1].coeffs) == {1}
 
     def test_c_zero_gives_pure_power(self):
@@ -147,11 +156,15 @@ class TestFaddeevLeVerrier:
             faddeev_leverrier(H)
 
     def test_newton_identity_crosscheck(self):
+        # the traces Newton's identities derive from Faddeev's p_k against
+        # tr(H~^k) by exact matrix products
         for N in (3, 6, 9):
-            cp = rotated_charpoly(N)
-            recomputed = cp.newton_identity_traces()
-            for k in range(1, cp.dim + 1):
-                assert recomputed[k] == cp.traces[k]
+            H = build_rotated_hamiltonian(ModelParams(particles=N, gamma=1, v=1, c=None))
+            traces = faddeev_leverrier(H).traces()
+            power = H
+            for k in range(1, N + 2):
+                assert traces[k] == power.trace()
+                power = power.matmul(H)
 
     def test_continuant_matches_faddeev(self):
         rng = np.random.default_rng(11)
@@ -164,8 +177,18 @@ class TestFaddeevLeVerrier:
             b = charpoly_of_tridiagonal(H)
             for k in range(N + 2):
                 assert a.paper_coeffs[k] == b.paper_coeffs[k]
-            for k in range(1, N + 2):
-                assert a.traces[k] == b.traces[k]
+
+    @pytest.mark.parametrize("c", [None, rat("2/7")])
+    def test_continuant_traces_are_matrix_power_traces(self, c):
+        # an oracle independent of both charpoly routes: tr(H^k) by exact
+        # matrix products
+        for N in range(1, 7):
+            H = build_generalized_hamiltonian(
+                ModelParams(particles=N, gamma=rat("3/5"), v=1, c=c), "monomial")
+            traces = charpoly_of_tridiagonal(H).traces()
+            for k in range(1, 4):
+                if k <= N + 1:
+                    assert traces[k] == H.power(k).trace()
 
     def test_continuant_rejects_nontridiagonal(self):
         H = build_rotated_hamiltonian(ModelParams(particles=4, gamma=1, v=1, c=None))
@@ -176,7 +199,6 @@ class TestFaddeevLeVerrier:
 def assert_same_charpoly(a, b):
     assert a.param == b.param
     assert a.paper_coeffs == b.paper_coeffs
-    assert a.traces == b.traces
 
 
 # Entries mix small denominators with the dyadic ones rat(float) produces
@@ -246,10 +268,11 @@ class TestTraceStructure:
     def test_allowed_exponent_sets(self):
         # N large enough that no coefficient degenerates
         cp = unfolding_charpoly(10)
+        traces = cp.traces()
         expected = {1: {1}, 2: {2}, 3: {1, 3}, 4: {2, 4}, 5: {3, 5}, 6: {2, 4, 6}}
         for k, exps in expected.items():
             assert set(cp.paper_coeffs[k].coeffs) == exps
-            assert set(cp.traces[k].coeffs) == exps
+            assert set(traces[k].coeffs) == exps
 
     def test_report_contents(self):
         cp = unfolding_charpoly(6)
