@@ -21,7 +21,12 @@ from .exact_poly import (
     rat,
     verify_trace_structure,
 )
-from .operators import ModelParams, build_generalized_hamiltonian, build_rotated_hamiltonian
+from .operators import (
+    ModelParams,
+    UsageError,
+    build_generalized_hamiltonian,
+    build_rotated_hamiltonian,
+)
 
 __all__ = ["CriterionResult", "CRITERIA", "run", "main_report"]
 
@@ -323,7 +328,16 @@ CRITERIA = [
 
 
 def run(keys=None, tol_scale=1.0):
-    """Run the acceptance criteria; returns a list of CriterionResult."""
+    """Run the acceptance criteria, all or those named in ``keys``.
+
+    Returns a list of CriterionResult. An unknown key is a UsageError,
+    raised before any criterion runs.
+    """
+    known = [c[0] for c in CRITERIA]
+    unknown = [k for k in keys or () if k not in known]
+    if unknown:
+        raise UsageError(f"unknown criterion {', '.join(map(repr, unknown))}; "
+                         f"valid keys: {', '.join(known)}")
     selected = CRITERIA if not keys else [c for c in CRITERIA if c[0] in set(keys)]
     results = []
     for key, description, fn in selected:

@@ -28,6 +28,9 @@ def _fmt(x: float) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # every option has one spelling: no prefixes
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # argparse exits 2 by default; the CLI uses 1
         raise UsageError(message)
 
@@ -127,6 +130,18 @@ def _json_doc(obj) -> str:
 # -- subcommands ---------------------------------------------------------------
 
 
+def _table(param_header, grid, rows, fmt) -> str:
+    """Point-major ``param,branch,re,im`` lines, comma-separated for csv, else spaces."""
+    sep = "," if fmt == "csv" else " "
+    # one string per grid point, so the rows' lines do not all live at once
+    lines = [sep.join((param_header, "branch", "re", "im"))]
+    for x, row in zip(grid, rows):
+        p = _fmt(x)
+        lines.append("\n".join(sep.join((p, str(b), _fmt(z.real), _fmt(z.imag)))
+                               for b, z in enumerate(row)))
+    return "\n".join(lines) + "\n"
+
+
 def cmd_spectrum(args) -> int:
     rng = parse_range(args.gamma)
     v, c = _float(args.v), _float(args.c)
@@ -134,14 +149,22 @@ def cmd_spectrum(args) -> int:
                          pert_power=args.pert_power)
     grid = rng.grid()
     rows = spectra.sweep(params, "gamma", grid)
-    meta = {
-        "N": args.particles,
-        "v": v,
-        "c": c,
-        "vary": "gamma",
-        "grid": rng.meta(),
-    }
-    _emit_sweep(grid, rows, meta, args.format, args.output, "param")
+    if args.format == "json":
+        doc = {
+            "metadata": {"N": args.particles, "v": v, "c": c, "vary": "gamma",
+                         "grid": rng.meta()},
+            "spectra": [
+                {
+                    "param": float(x),
+                    "eigenvalues": [{"re": float(z.real), "im": float(z.imag)} for z in row],
+                }
+                for x, row in zip(grid, rows)
+            ],
+        }
+        text = _json_doc(doc)
+    else:
+        text = _table("param", grid, rows, args.format)
+    _write(args.output, text)
     return 0
 
 
@@ -150,29 +173,10 @@ def cmd_trajectory(args) -> int:
     v, gamma = _float(args.v), _float(args.gamma)
     params = ModelParams(particles=args.particles, gamma=gamma, v=v, c=0.0,
                          pert_power=args.pert_power)
-    grid = rng.grid()
-    if len(grid) == 1:
-        rows = spectra.sweep(params, "c", grid)
-        meta = {
-            "N": args.particles,
-            "v": v,
-            "gamma": gamma,
-            "vary": "c",
-            "grid": rng.meta(),
-        }
-        _emit_sweep(grid, rows, meta, args.format, args.output, "c")
-        return 0
-    trajectories, unresolved = spectra.matched_sweep(params, "c", grid)
-    lines = []
+    trajectories, unresolved = spectra.matched_sweep(params, "c", rng.grid())
     if args.format == "csv":
-        lines.append("c,branch,re,im")
-        npoints = len(trajectories[0].parameters)
-        for i in range(npoints):
-            for t in trajectories:
-                lines.append(
-                    f"{_fmt(t.parameters[i])},{t.branch},{_fmt(t.values[i].real)},{_fmt(t.values[i].imag)}"
-                )
-        text = "\n".join(lines) + "\n"
+        rows = np.column_stack([t.values for t in trajectories])
+        text = _table("c", trajectories[0].parameters, rows, "csv")
     elif args.format == "json":
         doc = {
             "metadata": {
@@ -195,7 +199,7 @@ def cmd_trajectory(args) -> int:
         }
         text = _json_doc(doc)
     else:
-        lines.append("c branch re im")
+        lines = ["c branch re im"]
         for t in trajectories:
             for p, z in zip(t.parameters, t.values):
                 lines.append(f"{_fmt(p)} {t.branch} {_fmt(z.real)} {_fmt(z.imag)}")
@@ -204,31 +208,6 @@ def cmd_trajectory(args) -> int:
     if unresolved:
         sys.stderr.write(f"note: {len(unresolved)} step(s) unresolved at refinement floor\n")
     return 0
-
-
-def _emit_sweep(grid, rows, meta, fmt, output, param_header):
-    if fmt == "json":
-        doc = {
-            "metadata": meta,
-            "spectra": [
-                {
-                    "param": float(x),
-                    "eigenvalues": [{"re": float(z.real), "im": float(z.imag)} for z in row],
-                }
-                for x, row in zip(grid, rows)
-            ],
-        }
-        text = _json_doc(doc)
-    else:
-        sep = "," if fmt == "csv" else " "
-        # one string per grid point, so the rows' lines do not all live at once
-        lines = [sep.join((param_header, "branch", "re", "im"))]
-        for x, row in zip(grid, rows):
-            p = _fmt(x)
-            lines.append("\n".join(sep.join((p, str(b), _fmt(z.real), _fmt(z.imag)))
-                                   for b, z in enumerate(row)))
-        text = "\n".join(lines) + "\n"
-    _write(output, text)
 
 
 def cmd_charpoly(args) -> int:
@@ -253,7 +232,7 @@ def cmd_charpoly(args) -> int:
 
 
 def cmd_newton(args) -> int:
-    k = 1 if args.pert == "delta" else args.pert_power
+    k = args.pert_power
     cp = newton_polygon.unfolding_charpoly(args.particles, k, _exact(args.v))
     analysis = newton_polygon.analyze_unfolding(cp)
     pred = newton_polygon.predict_ring_counts(args.particles, k)
@@ -405,8 +384,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("newton", help="Newton-Puiseux unfolding at gamma = v")
     common(p, formats=("text", "json"))
-    p.add_argument("--pert", choices=("c", "delta"), default="c",
-                   help="perturbation parameter: c at gamma=v, or delta at c=0")
     p.set_defaults(func=cmd_newton)
 
     p = sub.add_parser("ep-map", help="second-order EP positions over a c grid")

@@ -117,8 +117,8 @@ def _pair_count_fn(particles, v, c):
         return _exact_count(particles, gamma, v, c, tol)
 
     def many(gammas) -> list:
-        blocks = spectra.stacked_spectra(family, "gamma", gammas, lambda g: f"(gamma={g})")
-        return [at(*point) for block in blocks for point in zip(*block)]
+        rows, scales = spectra.stacked_spectra(family, "gamma", gammas)
+        return [at(*point) for point in zip(gammas, rows, scales)]
 
     def count(gamma: float) -> int:
         return many([gamma])[0]

@@ -105,9 +105,6 @@ class GaussianRational:
             self.re * other.im + self.im * other.re,
         )
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
     def scale(self, r):
         return GaussianRational(self.re * r, self.im * r)
 

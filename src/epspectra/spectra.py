@@ -83,7 +83,7 @@ def eigenvalues_from_charpoly(charpoly, value) -> np.ndarray:
     return _sorted_eigs(polynomial_roots(coeffs))
 
 
-def exact_spectrum(matrix: OperatorMatrix, context: str = "") -> np.ndarray:
+def exact_spectrum(matrix: OperatorMatrix) -> np.ndarray:
     """Eigenvalues of an exact tridiagonal matrix via its characteristic polynomial.
 
     The matrix must be parameter-free: one that still carries the formal
@@ -94,7 +94,7 @@ def exact_spectrum(matrix: OperatorMatrix, context: str = "") -> np.ndarray:
     if any(e for row in matrix.entries for p in row for e in p.coeffs):
         raise ValueError(
             f"matrix depends on the formal parameter {matrix.param or 'c'!r}; "
-            f"fix its value first {context}".rstrip()
+            "fix its value first"
         )
     return eigenvalues_from_charpoly(charpoly_of_tridiagonal(matrix), 0)
 
@@ -130,14 +130,14 @@ class Classification:
     conjugate_pair_count: int
 
 
-def stacked_spectra(family, vary: str, values, context):
-    """Sorted eigenvalues and scale max(1, max|H|) of a family's H at each value.
+def stacked_spectra(family, vary: str, values):
+    """Sorted eigenvalues and scale max(1, max|H|) of a family's H at each value of ``vary``.
 
-    ``family`` is an orthonormal ``HamiltonianFamily``. Yields
-    (values, eigenvalues, scales) per stacked eigensolve of at most
-    _STACK_BYTES of matrices, so memory does not grow with the number of
-    values. A failing block is solved again one matrix at a time, so the
-    error names its first failing value by ``context(value)``.
+    ``family`` is an orthonormal ``HamiltonianFamily``. Returns the
+    (len(values), N+1) eigenvalue array and the list of scales. Matrices are
+    eigensolved in stacks of at most _STACK_BYTES, so the matrices held at
+    once do not grow with the number of values. A failing stack is solved
+    again one matrix at a time, so the error names its first failing point.
     """
     values = [float(x) for x in values]
     step = max(1, _STACK_BYTES // (16 * family.dim**2))
@@ -145,35 +145,27 @@ def stacked_spectra(family, vary: str, values, context):
     # and of the fixed tunneling once, not |H| of the whole stack
     d = np.arange(family.dim)
     floor = max(1.0, float(np.abs(family.tunneling).max()))
+    rows, scales = [], []
     for i in range(0, len(values), step):
         xs = values[i:i + step]
         H = family.stack(vary, xs)
         try:
-            vals = eigenvalues(H)
+            rows.append(eigenvalues(H))
         except SpectralError:
+            p = family.params
             for x, h in zip(xs, H):
-                eigenvalues(h, context=context(x))
+                gamma, c = (x, family.c) if vary == "gamma" else (family.gamma, x)
+                eigenvalues(h, context=f"(N={p.particles}, gamma={gamma}, v={float(p.v)}, c={c})")
             raise
-        yield xs, vals, np.maximum(np.abs(H[:, d, d]).max(axis=1), floor).tolist()
-
-
-def _family_spectra(family, vary: str, values) -> np.ndarray:
-    """Sorted eigenvalues at each value of ``vary``, one row per value."""
-    p = family.params
-
-    def context(x):
-        gamma, c = (x, family.c) if vary == "gamma" else (family.gamma, x)
-        return f"(N={p.particles}, gamma={gamma}, v={float(p.v)}, c={c})"
-
-    rows = [block[1] for block in stacked_spectra(family, vary, values, context)]
-    return np.concatenate(rows) if rows else np.empty((0, family.dim), dtype=complex)
+        scales.extend(np.maximum(np.abs(H[:, d, d]).max(axis=1), floor).tolist())
+    return np.concatenate(rows or [np.empty((0, family.dim), dtype=complex)]), scales
 
 
 def sweep(params: ModelParams, vary: str, grid) -> np.ndarray:
     """The (points, N+1) array of sorted eigenvalues at each grid point of gamma or c."""
     if vary not in ("gamma", "c"):
         raise ValueError("vary must be 'gamma' or 'c'")
-    return _family_spectra(build_generalized_hamiltonian(params, "orthonormal"), vary, grid)
+    return stacked_spectra(build_generalized_hamiltonian(params, "orthonormal"), vary, grid)[0]
 
 
 def optimal_match_distance(a, b) -> float:
@@ -209,13 +201,13 @@ def match_branches(params, spectra):
     """Pair eigenvalues across a sweep by minimum-total-distance assignment.
 
     ``params`` are the swept parameter values and ``spectra`` the eigenvalue
-    rows at them. Returns (trajectories, flagged_steps). A step is flagged
-    when its largest matched jump exceeds _JUMP_RATIO (10) times the median
-    jump of that step, which indicates the grid is too coarse there
-    (typically near an exceptional point).
+    rows at them, at least one. Returns (trajectories, flagged_steps). A
+    step is flagged when its largest matched jump exceeds _JUMP_RATIO (10)
+    times the median jump of that step, which indicates the grid is too
+    coarse there (typically near an exceptional point).
     """
-    if len(spectra) < 2:
-        raise ValueError("branch matching needs at least two grid points")
+    if len(spectra) < 1:
+        raise ValueError("branch matching needs at least one grid point")
     rows = [np.array(spectra[0], dtype=complex)]
     flagged = []
     for i, spec in enumerate(spectra[1:]):
@@ -243,6 +235,7 @@ def matched_sweep(params: ModelParams, vary: str, grid, max_levels: int = 12,
     halves its jump with the step and stops there; a square-root branch
     point shrinks it only by 1/sqrt(2) and is followed to the floor. Flags
     depend only on a piece's two end spectra, so the sweep is matched once.
+    A one-point grid has no step, so nothing is refined.
 
     ``evaluate`` maps a parameter value to its row of eigenvalues and
     defaults to the model Hamiltonian at ``params`` with ``vary`` replaced;
@@ -254,10 +247,10 @@ def matched_sweep(params: ModelParams, vary: str, grid, max_levels: int = 12,
     """
     if evaluate is None:
         family = build_generalized_hamiltonian(params, "orthonormal")
-        evaluate = lambda x: _family_spectra(family, vary, [x])[0]
+        evaluate = lambda x: stacked_spectra(family, vary, [x])[0][0]
     grid = sorted(float(g) for g in grid)
-    if len(grid) < 2:
-        raise ValueError("refinement needs at least two grid points")
+    if len(grid) < 1:
+        raise ValueError("refinement needs at least one grid point")
     points, spectra = [grid[0]], [evaluate(grid[0])]
     unresolved = []
     for lo, hi in zip(grid, grid[1:]):

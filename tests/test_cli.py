@@ -113,6 +113,19 @@ class TestTrajectoryCommand:
         assert lines[0] == "c,branch,re,im"
         assert len(lines) == 13
 
+    def test_one_point_json_has_the_grid_schema(self, tmp_path):
+        docs = []
+        for c in ("0.05:0.05:1", "0.05:0.1:3"):
+            code, text = run_cli(tmp_path, "trajectory", "-N", "3", "--gamma", "1",
+                                 "--c", c, "--format", "json", name="t.json")
+            assert code == 0
+            docs.append(json.loads(text))
+        one, many = docs
+        assert set(one) == set(many) == {"metadata", "trajectories"}
+        assert set(one["metadata"]) == set(many["metadata"])
+        assert one["metadata"]["unresolved_steps"] == []
+        assert [len(t["points"]) for t in one["trajectories"]] == [1] * 4
+
     def test_n5_two_triplet_star(self, tmp_path):
         code, text = run_cli(
             tmp_path, "trajectory", "--particles", "5", "--gamma", "1",
@@ -209,7 +222,7 @@ class TestNewtonCommand:
 
     def test_delta_variant(self, tmp_path):
         code, text = run_cli(
-            tmp_path, "newton", "--particles", "5", "--pert", "delta"
+            tmp_path, "newton", "--particles", "5", "--pert-power", "1"
         )
         assert code == 0
         assert "parameter Delta" in text
@@ -226,6 +239,12 @@ class TestEpMapCommand:
         assert lines[0] == "c,index,gamma_tilde,order,method"
         assert all(line.endswith("2,pair-count-bisection") for line in lines[1:])
         assert len(lines) == 4  # N=5: three EPs
+
+    def test_stack_failure_names_the_point(self, capsys):
+        assert main(["ep-map", "-N", "3", "--c", "1e300:1e308:2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:")
+        assert "(N=3, gamma=0.0, v=1.0, c=1e+308)" in err
 
     def test_json_mirror(self, tmp_path):
         code, text = run_cli(
@@ -250,6 +269,17 @@ class TestExitCodes:
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["ep-map", "-N", "3", "--c", "0.1:0.2:2", "--gamma", "3"],
+        ["spectrum", "--part", "2", "--gam", "0:1:2"],
+        ["newton", "-N", "5", "--pert", "delta"],
+    ])
+    def test_options_must_be_spelled_in_full(self, argv, capsys):
+        # a prefix of an option, or the removed newton --pert, is no option
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage error:")
 
     def test_ep_map_rejects_pert_power_and_text(self):
         # ep-map always maps the k = 2 model and writes CSV or JSON
@@ -332,6 +362,13 @@ class TestExitCodes:
         assert code_a == 0 and code_b == 0
         assert a == b
         assert a.count("PASS") == 3  # two criteria + the summary line
+
+    @pytest.mark.parametrize("only", ["ring-laww", "n5-charpoly,bogus"])
+    def test_verify_rejects_unknown_keys(self, only, capsys):
+        assert main(["verify", "--only", only]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage error:")
+        assert repr(only.split(",")[-1]) in captured.err and "ring-law" in captured.err
 
     def test_verify_zero_tolerance_fails_loudly(self, tmp_path):
         code, text = run_cli(

@@ -72,8 +72,6 @@ class TestRationals:
                 gr(int(rng.integers(-9, 10)), int(rng.integers(-9, 10))) for _ in range(3)
             )
             assert (a + b) * c == a * c + b * c
-            assert a.conjugate().conjugate() == a
-            assert (a * b).conjugate() == a.conjugate() * b.conjugate()
             assert (a - b) + b == a and -(a - b) == b - a
 
     def test_gaussian_zero_and_render(self):

@@ -84,9 +84,8 @@ class TestEigenvalues:
         grid = np.linspace(0.0, 1.5, 100)
         swept = sweep(params, "gamma", grid)
         family = spectra.build_generalized_hamiltonian(params, "orthonormal")
-        scales = [s for block in spectra.stacked_spectra(family, "gamma", grid, str)
-                  for s in block[2]]
-        assert swept.shape == (100, 41)
+        rows, scales = spectra.stacked_spectra(family, "gamma", grid)
+        assert swept.shape == (100, 41) and swept.tobytes() == rows.tobytes()
         for g, row, scale in zip(grid, swept, scales):
             one = spectra.build_generalized_hamiltonian(replace(params, gamma=float(g)))
             assert row.tobytes() == eigenvalues(one.array).tobytes()
