@@ -45,8 +45,6 @@ class RangeSpec:
     spacing: str = "linear"
 
     def grid(self):
-        if self.steps == 1:
-            return np.array([self.lo])
         if self.spacing == "log":
             return np.geomspace(self.lo, self.hi, self.steps)
         return np.linspace(self.lo, self.hi, self.steps)
@@ -75,6 +73,8 @@ def parse_range(text: str) -> RangeSpec:
         raise UsageError("steps must be >= 1")
     if steps > 1 and not lo < hi:
         raise UsageError("range needs min < max")
+    if steps == 1 and lo != hi:
+        raise UsageError("a one-point range needs min == max")
     if spacing == "log" and lo <= 0:
         raise UsageError("log range needs min > 0")
     return RangeSpec(lo=lo, hi=hi, steps=steps, spacing=spacing)
@@ -98,9 +98,12 @@ def _float(text: str) -> float:
 def _write(path, text):
     if path in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc.strerror}")
 
 
 # -- JSON rendering with 17-significant-digit numbers -------------------------

@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-# The coarse scan's grid size, the recursive splits allowed per cell, and the
+# The coarse scan's grid size, the splits allowed per cell, and the
 # method every record names.
 _COARSE_POINTS = 512
 _MAX_SPLITS = 48
@@ -85,12 +85,11 @@ def _exact_count(particles, gamma, v, c, tol):
 
 
 def _pair_count_fn(particles, v, c):
-    """Conjugate-pair counter in gamma.
+    """Conjugate-pair counter in gamma: ``counts(gammas)`` -> list of counts.
 
-    The float Hamiltonian is built once for (N, v, c); each count writes
-    only its diagonal. ``count(gamma)`` counts at one point and
-    ``count.many(gammas)`` at many, eigensolved in stacked blocks (see
-    ``spectra.stacked_spectra``) with the same bits as one point at a time.
+    The float Hamiltonian is built once for (N, v, c); each call writes only
+    its diagonal and eigensolves the whole list in stacked blocks (see
+    ``spectra.stacked_spectra``), the same bits as one point at a time.
 
     The dense route is the fast path. Its count is trusted only while the
     conjugate pairing stays consistent; when it degrades (count imbalance or
@@ -116,15 +115,11 @@ def _pair_count_fn(particles, v, c):
                 pass
         return _exact_count(particles, gamma, v, c, tol)
 
-    def many(gammas) -> list:
+    def counts(gammas) -> list:
         rows, scales = spectra.stacked_spectra(family, "gamma", gammas)
         return [at(*point) for point in zip(gammas, rows, scales)]
 
-    def count(gamma: float) -> int:
-        return many([gamma])[0]
-
-    count.many = many
-    return count
+    return counts
 
 
 def _search_range(particles, v, gamma_range, tol):
@@ -142,42 +137,38 @@ def _search_range(particles, v, gamma_range, tol):
     return lo, hi
 
 
-def _locate_transitions(count, lo, hi, clo, chi, tol):
-    """Recursive splitter: resolve all count transitions in [lo, hi].
+def _locate_transitions(counts, cells, tol):
+    """Breadth-first splitter: one record, in no order, per transition in ``cells``.
 
-    ``clo`` and ``chi`` are the counts at the ends.
+    ``cells`` are (a, b, ca, cb) with end counts ca != cb; each round counts
+    the midpoints of all open cells in one call to ``counts``. A bisecting
+    cell keeps (a, mid) if the count at mid differs from ca, else (mid, b).
     """
     records = []
-
-    def bisect(a, b, ca):
-        while b - a > tol:
+    # (a, b, ca, cb, splits so far, or None once the cell bisects)
+    cells = [(a, b, ca, cb, 0 if abs(cb - ca) > 1 else None) for a, b, ca, cb in cells]
+    while cells:
+        halving = []
+        for a, b, ca, cb, splits in cells:
             mid = 0.5 * (a + b)
-            if not a < mid < b:
-                break  # a and b are adjacent floats
-            if count(mid) != ca:
-                b = mid
+            if splits is None and (b - a <= tol or not a < mid < b):
+                records.append(EPRecord(gamma=mid, order=2, method=_METHOD, bracket_width=b - a))
+            elif splits is not None and splits >= _MAX_SPLITS:
+                raise EPLocationError(f"cell [{a}, {b}] holds {abs(cb - ca)} transitions, "
+                                      f"unresolved after {_MAX_SPLITS} splits")
             else:
-                a = mid
-        return 0.5 * (a + b), b - a
-
-    def resolve(a, b, ca, cb, depth):
-        jump = abs(cb - ca)
-        if jump == 0:
-            return
-        if jump == 1:
-            gamma, width = bisect(a, b, ca)
-            records.append(EPRecord(gamma=gamma, order=2, method=_METHOD, bracket_width=width))
-            return
-        if depth >= _MAX_SPLITS:
-            raise EPLocationError(
-                f"cell [{a}, {b}] holds {jump} transitions, unresolved after {_MAX_SPLITS} splits"
-            )
-        mid = 0.5 * (a + b)
-        cm = count(mid)
-        resolve(a, mid, ca, cm, depth + 1)
-        resolve(mid, b, cm, cb, depth + 1)
-
-    resolve(lo, hi, clo, chi, 0)
+                halving.append((a, mid, b, ca, cb, splits))
+        if not halving:
+            break
+        cells = []
+        for (a, mid, b, ca, cb, splits), cm in zip(halving, counts([h[1] for h in halving])):
+            if splits is None:
+                # ca stays the reference count, whatever cm is
+                cells.append((a, mid, ca, cm, None) if cm != ca else (mid, b, ca, cb, None))
+                continue
+            for lo, hi, clo, chi in ((a, mid, ca, cm), (mid, b, cm, cb)):
+                if clo != chi:
+                    cells.append((lo, hi, clo, chi, splits + 1 if abs(chi - clo) > 1 else None))
     return records
 
 
@@ -185,16 +176,14 @@ def locate_eps(particles, v, c, gamma_range=None, tol=1e-9):
     """Second-order EP positions along gamma >= 0, one record per transition.
 
     Scans the conjugate-pair count on a grid of _COARSE_POINTS (512) and
-    bisects every change to the requested bracket width. Cells holding
-    several transitions are split recursively, at most _MAX_SPLITS (48)
-    times. The default gamma range [0, |v| (N+3)/2] covers the
-    strong-coupling asymptote |v| (N+1)/2 with margin; a given range must be
-    finite with lo < hi (UsageError otherwise). For c = 0 use
-    mother_ep_check instead (the degeneracy there has order N+1).
-
-    The counter builds the float Hamiltonian once for (N, v, c); the coarse
-    grid is counted in stacked eigensolves of at most about 1 MiB of
-    matrices, and bisection counts one point at a time.
+    bisects every change to the requested bracket width; a cell holding
+    several transitions is split first, at most _MAX_SPLITS (48) times. The
+    scan is one call to the counter and every round of ``_locate_transitions``
+    another, each a stacked eigensolve. The default gamma range
+    [0, |v| (N+3)/2] covers the strong-coupling asymptote |v| (N+1)/2 with
+    margin; a given range must be finite with lo < hi (UsageError
+    otherwise). For c = 0 use mother_ep_check instead (the degeneracy there
+    has order N+1).
 
     ``tol`` bounds the bisection bracket and must be finite and > 0
     (UsageError otherwise); bisection also stops when the bracket ends are
@@ -203,16 +192,11 @@ def locate_eps(particles, v, c, gamma_range=None, tol=1e-9):
     at the classification threshold.
     """
     lo, hi = _search_range(particles, v, gamma_range, tol)
-    count = _pair_count_fn(particles, v, c)
+    counts = _pair_count_fn(particles, v, c)
     grid = np.linspace(lo, hi, _COARSE_POINTS).tolist()
-    counts = count.many(grid)
-    records = []
-    for i in range(len(grid) - 1):
-        if counts[i + 1] != counts[i]:
-            records.extend(_locate_transitions(
-                count, grid[i], grid[i + 1], counts[i], counts[i + 1], tol))
-    records.sort(key=lambda r: r.gamma)
-    return records
+    scan = counts(grid)
+    cells = [cell for cell in zip(grid, grid[1:], scan, scan[1:]) if cell[2] != cell[3]]
+    return sorted(_locate_transitions(counts, cells, tol), key=lambda r: r.gamma)
 
 
 def ep_map(particles, v, c_grid, gamma_range=None, tol=1e-9) -> EPMap:

@@ -31,6 +31,7 @@ coefficients) and as the test oracle for the continuant.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -54,14 +55,24 @@ __all__ = [
 _ZERO = Rational(0)
 
 
+# Fraction's string grammar of Python 3.11 (3.10 has no "_" in digits, 3.12 allows " / ")
+_DIGITS = r"\d+(_\d+)*"
+_NUMBER = re.compile(
+    rf"\s*[-+]?(?=\.?\d)({_DIGITS})?(/{_DIGITS}|(\.({_DIGITS})?)?(e[-+]?{_DIGITS})?)\s*", re.I)
+
+
 def rat(value):
     """Coerce to an exact rational.
 
-    Accepts ints, rationals, strings like ``"-3/4"``, ``"0.125"`` or
-    ``"2.5e-3"`` (the exact number written: ``"0.1"`` is 1/10, not the
-    nearest double), and floats (converted exactly, i.e. as the dyadic
-    rational the float is).
+    Accepts ints, rationals, strings like ``"-3/4"``, ``"0.125"``,
+    ``"2.5e-3"`` or ``"1_000"`` (the exact number written: ``"0.1"`` is
+    1/10, not the nearest double), and floats (converted exactly, i.e. as
+    the dyadic rational the float is).
     """
+    if isinstance(value, str):
+        if not _NUMBER.fullmatch(value):
+            raise ValueError(f"Invalid literal for Fraction: {value!r}")
+        value = value.replace("_", "")
     if isinstance(value, (str, float)):
         f = Fraction(value)
         return Rational(f.numerator) / Rational(f.denominator)

@@ -237,9 +237,9 @@ def matched_sweep(params: ModelParams, vary: str, grid, max_levels: int = 12,
     depend only on a piece's two end spectra, so the sweep is matched once.
     A one-point grid has no step, so nothing is refined.
 
-    ``evaluate`` maps a parameter value to its row of eigenvalues and
-    defaults to the model Hamiltonian at ``params`` with ``vary`` replaced;
-    it is called once per returned point.
+    ``evaluate`` maps a list of ``vary`` values to eigenvalue rows (default:
+    ``stacked_spectra`` of H at ``params``); it gets the whole grid, then each
+    inserted midpoint, so every returned point is evaluated once.
 
     Returns (trajectories, unresolved_intervals): the floor pieces still
     flagged and square-root-like, one per branch point crossed inside a
@@ -247,16 +247,17 @@ def matched_sweep(params: ModelParams, vary: str, grid, max_levels: int = 12,
     """
     if evaluate is None:
         family = build_generalized_hamiltonian(params, "orthonormal")
-        evaluate = lambda x: stacked_spectra(family, vary, [x])[0][0]
+        evaluate = lambda xs: stacked_spectra(family, vary, xs)[0]
     grid = sorted(float(g) for g in grid)
     if len(grid) < 1:
         raise ValueError("refinement needs at least one grid point")
-    points, spectra = [grid[0]], [evaluate(grid[0])]
+    rows = evaluate(grid)
+    points, spectra = [grid[0]], [rows[0]]
     unresolved = []
-    for lo, hi in zip(grid, grid[1:]):
+    for lo, hi, row in zip(grid, grid[1:], rows[1:]):
         floor = (hi - lo) / 2**max_levels
         # (right end, spectrum, parent jump) nearest on top; points[-1] is the left end
-        pending = [(hi, evaluate(hi), 0.0)]  # a grid step has no parent: halve if flagged
+        pending = [(hi, row, 0.0)]  # a grid step has no parent: halve if flagged
         while pending:
             x, spec, parent = pending[-1]
             _, flagged, jump = _match_step(spectra[-1], spec)
@@ -264,7 +265,7 @@ def matched_sweep(params: ModelParams, vary: str, grid, max_levels: int = 12,
                 if x - points[-1] > floor:
                     mid = (points[-1] + x) / 2.0
                     pending[-1] = (x, spec, jump)
-                    pending.append((mid, evaluate(mid), jump))
+                    pending.append((mid, evaluate([mid])[0], jump))
                     continue
                 unresolved.append((points[-1], x))
             pending.pop()

@@ -31,7 +31,8 @@ class TestRangeParsing:
         assert r.lo == pytest.approx(0.1)
 
     def test_bad_ranges(self):
-        for bad in ("1:0:5", "0:1:0", "0:1", "a:b:3", "0:1:5:cubic", "-1:1:3:log"):
+        for bad in ("1:0:5", "0:1:0", "0:1", "a:b:3", "0:1:5:cubic", "-1:1:3:log",
+                    "0:1.5:1", "0.5:0.1:1"):
             with pytest.raises(UsageError):
                 parse_range(bad)
 
@@ -296,6 +297,16 @@ class TestExitCodes:
     def test_ep_map_rejects_bad_tol(self, tol, capsys):
         assert main(["ep-map", "--particles", "2", "--c", "0.1:0.1:1", f"--tol={tol}"]) == 1
         assert capsys.readouterr().err.startswith("usage error:")
+
+    def test_unwritable_output_is_a_usage_error(self, tmp_path, capsys):
+        # a directory, or a file in a directory that does not exist, used to
+        # end in a traceback after the whole computation
+        for path in (tmp_path, tmp_path / "missing" / "x.txt"):
+            assert main(["charpoly", "-N", "2", "--gamma", "1", "-o", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"usage error: cannot write {str(path)!r}: ")
+            assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("gamma_max", ["-3", "0"])
     def test_ep_map_rejects_nonpositive_gamma_max(self, gamma_max, capsys):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from epspectra import ep_locator
 from epspectra.ep_locator import (
@@ -24,8 +26,9 @@ from epspectra.operators import (
 
 
 def _count_at(gamma, particles, v, c):
-    """The one-point pair count, from a fresh counter."""
-    return ep_locator._pair_count_fn(particles, v, c)(gamma)
+    """The pair count of a one-point list, from a fresh counter."""
+    [count] = ep_locator._pair_count_fn(particles, v, c)([gamma])
+    return count
 
 
 class TestPairCount:
@@ -41,8 +44,8 @@ class TestPairCount:
 
 
 class TestStackedScan:
-    # the coarse scan counts in stacked eigensolves; each count must equal
-    # the one-point count, including the exact routes
+    # a list is counted in stacked eigensolves; each count must equal the
+    # count of a one-point list, including the exact routes
 
     @staticmethod
     def _record_exact(monkeypatch):
@@ -60,7 +63,7 @@ class TestStackedScan:
     def test_scan_grid_matches_point_counts(self, c, monkeypatch):
         seen = self._record_exact(monkeypatch)
         grid = np.linspace(0.0, 7.0, 512).tolist()
-        stacked = ep_locator._pair_count_fn(11, 1.0, c).many(grid)
+        stacked = ep_locator._pair_count_fn(11, 1.0, c)(grid)
         assert len(seen) == (512 if c == 0.0 else 0)  # c = 0 counts exactly only
         assert stacked == [_count_at(g, 11, 1.0, c) for g in grid]
 
@@ -70,7 +73,7 @@ class TestStackedScan:
         seen = self._record_exact(monkeypatch)
         gamma = 0.9407173052226027
         grid = sorted(np.linspace(0.0, 7.0, 512).tolist() + [gamma])
-        stacked = ep_locator._pair_count_fn(11, 1.0, 0.004).many(grid)
+        stacked = ep_locator._pair_count_fn(11, 1.0, 0.004)(grid)
         assert seen == [gamma]
         assert stacked == [_count_at(g, 11, 1.0, 0.004) for g in grid]
 
@@ -105,16 +108,139 @@ class TestBisectionTolerance:
     def test_bisection_stops_at_adjacent_floats(self):
         calls = []
 
-        def count(gamma):
-            calls.append(gamma)
+        def counts(gammas):
+            calls.extend(gammas)
             assert len(calls) < 200, "bisection did not stop"
-            return int(gamma > 0.3)
+            return [int(gamma > 0.3) for gamma in gammas]
 
-        (rec,) = ep_locator._locate_transitions(
-            count, 0.0, 1.0, 0, 1, 1e-300)
+        (rec,) = ep_locator._locate_transitions(counts, [(0.0, 1.0, 0, 1)], 1e-300)
         # the bracket is one float step wide, around the jump at 0.3
         assert rec.bracket_width == np.spacing(0.3)
         assert abs(rec.gamma - 0.3) <= np.spacing(0.3)
+
+
+def _recursive_splitter(count, cells, tol):
+    """A depth-first recursive splitter with the same rules: the oracle.
+
+    ``count(gamma, level)`` is told how many counts its cell's chain has made,
+    this one included; returns (gamma, bracket_width) per transition.
+    """
+    records = []
+
+    def bisect(a, b, ca, level):
+        while b - a > tol:
+            mid = 0.5 * (a + b)
+            if not a < mid < b:
+                break  # a and b are adjacent floats
+            level += 1
+            if count(mid, level) != ca:
+                b = mid
+            else:
+                a = mid
+        return 0.5 * (a + b), b - a
+
+    def resolve(a, b, ca, cb, depth):
+        jump = abs(cb - ca)
+        if jump == 1:
+            records.append(bisect(a, b, ca, depth))
+        elif jump:
+            if depth >= ep_locator._MAX_SPLITS:
+                raise EPLocationError(f"cell [{a}, {b}] unresolved")
+            mid = 0.5 * (a + b)
+            cm = count(mid, depth + 1)
+            resolve(a, mid, ca, cm, depth + 1)
+            resolve(mid, b, cm, cb, depth + 1)
+
+    for cell in cells:
+        resolve(*cell, 0)
+    return records
+
+
+@st.composite
+def _step_counters(draw):
+    """Transitions on [0, 1], some closer together than a coarse cell, and
+    glitch intervals from just below some of them where the count is 5 higher.
+
+    Transitions lie on a 1e-6 lattice and glitch edges keep 0.1 x from
+    their transition, so that (barring rare coincidences) every transition
+    can be resolved within _MAX_SPLITS splits.
+    """
+    lattice = st.integers(0, 10**6).map(lambda i: i / 10**6)
+    steps = draw(st.lists(lattice, min_size=1, max_size=6, unique=True))
+    clusters = st.tuples(st.sampled_from(steps), st.floats(1e-13, 1e-2))
+    steps += [t + d for t, d in draw(st.lists(clusters, max_size=3, unique=True))]
+    glitches = []
+    for t in draw(st.lists(st.sampled_from(steps), min_size=1, max_size=2)):
+        x = draw(st.floats(1.3e-6, 0.05))
+        glitches.append((t - x, x * draw(st.floats(0.1, 0.9) | st.floats(1.1, 2.0))))
+    return steps, glitches
+
+
+class TestBreadthFirstSplitter:
+    # step counters on [0, 1] scanned on 9 points; a glitch makes some
+    # midpoints count outside {ca, cb}; cells reach the width 2^-10 exactly
+    @settings(max_examples=150, deadline=None)
+    @given(counter=_step_counters(), tol=st.sampled_from([2.0**-10, 1e-9, 1e-300]))
+    @example(counter=([0.3, 0.3], []), tol=1e-9)  # two transitions at one point
+    # 2^-53 and 1.5 2^-51 part at the 48th split of [0, 1/8], the last one
+    # allowed; 2^-53 and 1.5 2^-52 only at a 49th
+    @example(counter=([2.0**-53, 1.5 * 2.0**-51], []), tol=1e-300)
+    @example(counter=([2.0**-53, 1.5 * 2.0**-52], []), tol=1e-300)
+    def test_matches_the_recursive_splitter(self, counter, tol):
+        steps, glitches = counter
+
+        def count(gamma):
+            glitch = any(u <= gamma <= u + w for u, w in glitches)
+            return sum(t < gamma for t in steps) + 5 * glitch
+
+        grid = np.linspace(0.0, 1.0, 9).tolist()
+        scan = [count(g) for g in grid]
+        cells = [cell for cell in zip(grid, grid[1:], scan, scan[1:]) if cell[2] != cell[3]]
+
+        levels = {}  # oracle counts by level: the breadth-first rounds
+
+        def oracle_count(gamma, level):
+            levels.setdefault(level, []).append(gamma)
+            return count(gamma)
+
+        rounds = []
+
+        def counts(gammas):
+            rounds.append(list(gammas))
+            return [count(g) for g in gammas]
+
+        try:
+            expected = _recursive_splitter(oracle_count, cells, tol)
+        except EPLocationError:
+            with pytest.raises(EPLocationError):
+                ep_locator._locate_transitions(counts, cells, tol)
+            return
+        records = ep_locator._locate_transitions(counts, cells, tol)
+        assert sorted((r.gamma, r.bracket_width) for r in records) == sorted(expected)
+        assert all(r.order == 2 and r.method == "pair-count-bisection" for r in records)
+        # one counter call per round, holding that round's midpoints
+        assert [sorted(r) for r in rounds] == [sorted(levels[k]) for k in sorted(levels)]
+        assert list(levels) == list(range(1, len(levels) + 1))
+
+    def test_locate_eps_counts_once_per_round(self, monkeypatch):
+        calls = []
+        original = ep_locator._pair_count_fn
+
+        def counter(*args):
+            counts = original(*args)
+
+            def traced(gammas):
+                calls.append(len(gammas))
+                return counts(gammas)
+
+            return traced
+
+        monkeypatch.setattr(ep_locator, "_pair_count_fn", counter)
+        recs = locate_eps(11, 1.0, 0.1 / 11)
+        assert len(recs) == 6
+        # the 512-point scan, then one call per round holding every open cell
+        assert calls[0] == 512 and 1 <= max(calls[1:]) <= 6
+        assert len(calls) < sum(calls[1:])
 
 
 class TestLocateEps:

@@ -1,6 +1,7 @@
 """Exact arithmetic, parameter polynomials, and characteristic polynomials."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import epspectra
+from epspectra import exact_poly
 from epspectra.exact_poly import (
     GaussianRational,
     ParamPoly,
@@ -50,15 +52,38 @@ class TestRationals:
         with pytest.raises(ValueError):
             rat("1.2.3")
 
-    def test_rat_string_edges(self):
-        # strings are read as Python's Fraction reads them: exact at any
+    @staticmethod
+    def _check_string_edges():
+        # strings are read as Python 3.11's Fraction reads them: exact at any
         # exponent, digit underscores allowed, no sign or spaces around "/"
         assert rat("1e400") == Rational(10) ** 400
         assert rat("1_000") == 1000
+        assert rat("1e1_0") == 10**10
+        assert rat("3/4_0") == Rational(3) / 40
         assert rat(" 3/4 ") == Rational(3) / 4
-        for bad in ("3/-4", "3/+4", " 3 / 4", "3/ 4", "3 /4"):
-            with pytest.raises(ValueError):
+        for bad in ("3/-4", "3/+4", " 3 / 4", "3/ 4", "3 /4", "1__0", "1_", "_1"):
+            with pytest.raises(ValueError, match=re.escape(f"Invalid literal for Fraction: {bad!r}")):
                 rat(bad)
+
+    def test_rat_string_edges(self):
+        self._check_string_edges()
+
+    def test_rat_grammar_does_not_follow_the_python_version(self, monkeypatch):
+        # Fraction's own grammar differs across the supported versions: 3.12
+        # allows spaces around "/", 3.10 rejects digit underscores
+        real = exact_poly.Fraction
+
+        def spaces_around_slash(value):
+            return real(re.sub(r"\s*/\s*", "/", value) if isinstance(value, str) else value)
+
+        def no_underscores(value):
+            if isinstance(value, str) and "_" in value:
+                raise ValueError(f"Invalid literal for Fraction: {value!r}")
+            return real(value)
+
+        for fraction in (spaces_around_slash, no_underscores):
+            monkeypatch.setattr(exact_poly, "Fraction", fraction)
+            self._check_string_edges()
 
     def test_rat_from_string_and_float(self):
         assert rat("-3/4") == Rational(-3) / 4

@@ -179,7 +179,8 @@ class TestSweepAndMatching:
         _, flagged = match_branches(grid, specs)
         assert flagged  # the square-root crossing is flagged on a coarse grid
         trajectories, unresolved = matched_sweep(
-            None, "gamma", grid, max_levels=6, evaluate=self._toy_spectrum
+            None, "gamma", grid, max_levels=6,
+            evaluate=lambda ts: [self._toy_spectrum(t) for t in ts],
         )
         # a branch-point crossing never regularizes (the jump ratio grows as
         # the step shrinks); refinement localizes it to the floor width
@@ -192,11 +193,11 @@ class TestSweepAndMatching:
         # one eigenvalue moves linearly 1000x faster than the rest: every
         # step is flagged, but halving halves its jump, so each grid step is
         # halved once and nothing is left unresolved
-        def evaluate(t):
-            return np.array([1000j * t, 4 + t, 5 + t, 6 + t, 7 + t, 8 + t])
+        def evaluate(ts):
+            return [np.array([1000j * t, 4 + t, 5 + t, 6 + t, 7 + t, 8 + t]) for t in ts]
 
         grid = np.linspace(0.0, 1.0, 5)
-        assert len(match_branches(grid, [evaluate(t) for t in grid])[1]) == 4
+        assert len(match_branches(grid, evaluate(grid))[1]) == 4
         trajectories, unresolved = matched_sweep(
             None, "gamma", grid, max_levels=6, evaluate=evaluate
         )
@@ -211,9 +212,9 @@ class TestSweepAndMatching:
         grid = np.geomspace(0.001, 1, 200)
         evaluated = []
 
-        def evaluate(x):
-            evaluated.append(x)
-            return spectra.sweep(params, "c", [x])[0]
+        def evaluate(xs):
+            evaluated.extend(xs)
+            return spectra.sweep(params, "c", xs)
 
         _, unresolved = matched_sweep(params, "c", grid, evaluate=evaluate)
         assert len(evaluated) <= 215
@@ -235,10 +236,12 @@ class TestSweepAndMatching:
         levels = 6
         evaluated = {}
 
-        def evaluate(x):
-            assert x not in evaluated
-            evaluated[x] = spectra.sweep(params, "c", [x])[0]
-            return evaluated[x]
+        def evaluate(xs):
+            rows = spectra.sweep(params, "c", xs)
+            for x, row in zip(xs, rows):
+                assert x not in evaluated
+                evaluated[x] = row
+            return rows
 
         trajectories, unresolved = matched_sweep(
             params, "c", grid, max_levels=levels, evaluate=evaluate
@@ -256,6 +259,28 @@ class TestSweepAndMatching:
         joined = list(left[0].parameters) + list(right[0].parameters)[1:]
         assert joined == points
         assert left_unresolved + right_unresolved == unresolved
+
+    def test_default_solves_the_grid_in_one_stack(self, monkeypatch):
+        # the whole grid goes to stacked_spectra at once, then one call per
+        # inserted midpoint; the rows are those of sweep on the same points
+        params = ModelParams(particles=11, gamma=0.9, v=1.0, c=0.0)
+        grid = np.geomspace(0.002, 0.0023, 5)
+        calls = []
+        original = spectra.stacked_spectra
+
+        def stacked(family, vary, values):
+            calls.append(list(values))
+            return original(family, vary, values)
+
+        monkeypatch.setattr(spectra, "stacked_spectra", stacked)
+        trajectories, _ = matched_sweep(params, "c", grid[::-1], max_levels=6)
+        points = list(trajectories[0].parameters)
+        assert calls[0] == sorted(grid.tolist())
+        assert all(len(xs) == 1 for xs in calls[1:])
+        assert sorted(x for xs in calls for x in xs) == points
+        monkeypatch.undo()
+        expected = match_branches(points, sweep(params, "c", points))[0]
+        assert all(np.array_equal(t.values, e.values) for t, e in zip(trajectories, expected))
 
 
 class TestDepartureDirections:
