@@ -3,9 +3,9 @@
 Detection rides on a robust integer: the number of complex-conjugate
 eigenvalue pairs. Each EP is a transition of that count along gamma, so a
 coarse scan plus bisection pins the position without ever minimizing an
-ill-conditioned eigenvalue gap. The classification tolerance during
-bisection is looser than for generic sweeps because the splitting grows
-like the square root of the distance to the EP.
+ill-conditioned eigenvalue gap. The count comes from real LAPACK solves of
+the real PT form of H, whose non-real eigenvalues come in exact conjugate
+pairs, so counting needs one threshold on Im and no pairing.
 """
 
 from __future__ import annotations
@@ -87,37 +87,28 @@ def _exact_count(particles, gamma, v, c, tol):
 def _pair_count_fn(particles, v, c):
     """Conjugate-pair counter in gamma: ``counts(gammas)`` -> list of counts.
 
-    The float Hamiltonian is built once for (N, v, c); each call writes only
-    its diagonal and eigensolves the whole list in stacked blocks (see
-    ``spectra.stacked_spectra``), the same bits as one point at a time.
-
-    The dense route is the fast path. Its count is trusted only while the
-    conjugate pairing stays consistent; when it degrades (count imbalance or
-    pairing residual beyond 1e-4 * scale, the signature of strong
-    non-normality) the counter falls back to the exact-charpoly route. At
-    c = 0 every breaking point sits at the order-(N+1) degeneracy where the
-    dense route is meaningless, so the exact route is used outright.
-
-    Eigenvalues with |Im| <= 1e-7 * scale count as real, with scale =
-    max(1, max|H|).
+    The Hamiltonian is built once for (N, v, c). Each call writes only its
+    gamma entries and eigensolves the whole list in stacked blocks of the
+    real PT form (see ``spectra.stacked_spectra``), the same bits as one
+    point at a time. LAPACK returns every non-real eigenvalue of a real
+    matrix with its exact conjugate, so a point's count is the number of
+    eigenvalues with Im > 1e-7 * scale, with scale = max(1, max|H|) of the
+    complex H. There is no pairing to fail and no fallback. At c = 0 every
+    breaking point sits at the order-(N+1) degeneracy where the dense route
+    is meaningless, so every count is exact (``_exact_count``) there.
     """
-    exact_only = float(c) == 0.0
     params = ModelParams(particles=particles, v=float(v), c=float(c))
     family = build_generalized_hamiltonian(params, "orthonormal")
 
-    def at(gamma, vals, scale):
-        tol = 1e-7 * scale
-        if not exact_only:
-            try:
-                cls = spectra.classify(vals, imag_tol=tol, pair_tol=1e-4 * scale)
-                return cls.conjugate_pair_count
-            except spectra.ClassificationError:
-                pass
-        return _exact_count(particles, gamma, v, c, tol)
+    if float(c) == 0.0:
+        def counts(gammas) -> list:
+            return [_exact_count(particles, g, v, c, 1e-7 * scale)
+                    for g, scale in zip(gammas, family.scales("gamma", gammas))]
+        return counts
 
     def counts(gammas) -> list:
         rows, scales = spectra.stacked_spectra(family, "gamma", gammas)
-        return [at(*point) for point in zip(gammas, rows, scales)]
+        return (rows.imag > 1e-7 * scales[:, None]).sum(axis=1).tolist()
 
     return counts
 
@@ -187,9 +178,13 @@ def locate_eps(particles, v, c, gamma_range=None, tol=1e-9):
 
     ``tol`` bounds the bisection bracket and must be finite and > 0
     (UsageError otherwise); bisection also stops when the bracket ends are
-    adjacent floats. The absolute position carries an additional
-    reproducibility band of order 1e-6 from solver noise on the splitting
-    at the classification threshold.
+    adjacent floats. The count calls |Im| <= 1e-7 * scale real and has no
+    pairing fallback (see ``_pair_count_fn``), so bisection converges where
+    the splitting crosses that threshold, not on the EP itself. At weak
+    coupling (N = 11, c <= 0.03) that puts the position within a few 1e-9
+    of a 40-digit count. Where the splitting grows slowly, as for the
+    small-gamma EPs at strong coupling (c >= 0.39 in the README map), the
+    position can be off by far more than ``tol`` (ROADMAP item 1).
     """
     lo, hi = _search_range(particles, v, gamma_range, tol)
     counts = _pair_count_fn(particles, v, c)

@@ -179,25 +179,58 @@ def reduced_polynomial(segment: HullSegment) -> ParamPoly:
     return out
 
 
+# Reduced-polynomial coefficients with |log2| beyond this are rescaled
+# before they are converted to floats.
+_FLOAT_EXPONENT = 1000
+
+
+def _log2_modulus(g: GaussianRational) -> int:
+    """log2 of max(|Re g|, |Im g|) for g != 0, to within 1."""
+    return max(abs(r.numerator).bit_length() - r.denominator.bit_length()
+               for r in (g.re, g.im) if r)
+
+
+def _pow2(e: int):
+    return Rational(2**e) if e >= 0 else Rational(1, 2**-e)
+
+
 def solve_leading_coefficients(poly: ParamPoly) -> np.ndarray:
     """All nonzero complex roots of a reduced polynomial, to ~1e-10 relative.
 
     Companion-matrix eigenvalues polished by Newton iteration; roots at
-    e = 0 are excluded (they belong to other hull segments). A coefficient
-    beyond the float range raises RootFindingError.
+    e = 0 are excluded (they belong to other hull segments). Coefficients
+    beyond 2^+-1000, as a tiny or huge v gives, are brought into range
+    exactly first: e = 2^s y, with s chosen from their magnitudes so the
+    first and last coefficients of the y polynomial are alike, and the
+    whole polynomial times a power of two; the roots are scaled back by
+    2^s. Coefficients in range are not scaled. RootFindingError if the
+    coefficients cannot all be brought into range, or a root lies beyond
+    the normal float range.
     """
     if not poly:
         raise ValueError("zero reduced polynomial")
-    degree = poly.degree
-    coeffs = np.zeros(degree + 1, dtype=complex)
-    try:
-        for e, g in poly.coeffs.items():
-            coeffs[e] = complex(g)
-    except OverflowError as exc:
-        raise RootFindingError(
-            f"reduced polynomial coefficient beyond the float range: {exc}") from exc
+    terms = {e: g for e, g in poly.coeffs.items() if g}
+    logs = {e: _log2_modulus(g) for e, g in terms.items()}
+    s = t = 0
+    if max(abs(x) for x in logs.values()) > _FLOAT_EXPONENT:
+        lo, hi = min(terms), max(terms)
+        s = round((logs[lo] - logs[hi]) / (hi - lo)) if hi > lo else 0
+        scaled = [x + s * e for e, x in logs.items()]
+        t = -round((max(scaled) + min(scaled)) / 2)
+        if max(scaled) - min(scaled) > 2 * _FLOAT_EXPONENT:
+            raise RootFindingError(
+                "reduced polynomial coefficients span more than the float range")
+    coeffs = np.zeros(poly.degree + 1, dtype=complex)
+    for e, g in terms.items():
+        coeffs[e] = complex(g.scale(_pow2(s * e + t)) if s or t else g)
     roots = polynomial_roots(coeffs)
-    return roots[roots != 0]
+    roots = roots[roots != 0]
+    if s:
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            roots = roots * np.ldexp(1.0, s)
+        if not np.all(np.isfinite(roots) & (np.abs(roots) >= np.finfo(float).tiny)):
+            raise RootFindingError("a leading coefficient lies beyond the float range")
+    return roots
 
 
 # Leading coefficients whose moduli agree to this relative tolerance form one

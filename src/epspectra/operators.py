@@ -5,7 +5,8 @@ an (N+1)-dimensional space. Two bases are provided:
 
 * ``orthonormal``: the standard |l, m> basis with square-root ladder
   entries; matrices are complex ndarrays and the Hamiltonian, a
-  ``HamiltonianFamily``, is complex symmetric there.
+  ``HamiltonianFamily``, is complex symmetric there. For even k its
+  stacks are the real PT form of H, which the dense solver takes as real.
 * ``monomial``: the xi^n realization (L_z = xi d/dxi - l, L_+ =
   -xi^2 d/dxi + 2 l xi, L_- = d/dxi) whose ladder entries are integers, so
   exact rational arithmetic is possible. Characteristic polynomials agree
@@ -268,9 +269,20 @@ class HamiltonianFamily:
     """Orthonormal-basis H = -2i gamma L_z + 2 v L_x + 2 c L_z^k along gamma or c.
 
     2 v L_x, L_z and L_z^k are built once per (N, v, k); ``stack`` writes
-    only the diagonal -2i gamma L_z + 2 c L_z^k, so every matrix costs one
-    copy plus a diagonal. ``params`` fixes the parameter that is not varied,
-    and ``array`` is H at ``params`` (the one-point stack).
+    only the entries that depend on the varied parameter, so every matrix
+    costs one copy plus those entries. ``params`` fixes the parameter that
+    is not varied, and ``array`` is the complex H at ``params``.
+
+    For even k, H is PT-symmetric, and ``stack`` gives its real PT form
+    R = T^H H T (pseudo-Hermiticity; Mostafazadeh, J. Math. Phys. 43, 3944
+    (2002)). For n < N/2 the unitary T has column u_n = (e_n + e_{N-n})/sqrt2
+    at n and w_n = i (e_n - e_{N-n})/sqrt2 at N - n, and e_{N/2} at N/2 for
+    even N. R keeps the index pattern of H: 2 c L_z^k on the diagonal,
+    R[n, N-n] = 2 gamma m_n = -R[N-n, n] on the anti-diagonal, and the
+    tunneling off the diagonal, except in the middle. There the coupling to
+    e_{N/2} is sqrt2 times larger on the u side and zero on the w side for
+    even N; for odd N, u and w of the middle pair decouple and carry +-v (N+1)/2
+    on the diagonal. Odd k has no PT symmetry: ``stack`` gives H itself.
     """
 
     def __init__(self, params: ModelParams):
@@ -287,28 +299,69 @@ class HamiltonianFamily:
         self.tunneling = 2.0 * float(params.v) * (ladders / 2.0)
         self.lz = np.arange(self.dim) - N / 2.0
         self.lz_k = self.lz**params.pert_power
+        self.real_form = None
+        if params.pert_power % 2 == 0:
+            # the tunneling in the PT basis; the middle pair (or e_{N/2}) differs
+            R = self.tunneling.real.copy()
+            h = self.dim // 2  # pairs n < N/2, the last one at h - 1 and N - h + 1
+            t = R[h - 1, h]
+            if N % 2:
+                R[h - 1, h] = R[h, h - 1] = 0.0
+                R[h - 1, h - 1], R[h, h] = t, -t
+            else:
+                R[h - 1, h] = R[h, h - 1] = np.sqrt(2.0) * t
+                R[h, h + 1] = R[h + 1, h] = 0.0
+            self.real_form = R
 
     def stack(self, vary: str, values) -> np.ndarray:
-        """H at each value of ``vary`` ("gamma" or "c"): shape (len(values), N+1, N+1)."""
+        """H, or for even k its real PT form, at each value of ``vary`` ("gamma" or "c").
+
+        Shape (len(values), N+1, N+1): float for even k, complex for odd k.
+        """
+        if vary not in ("gamma", "c"):
+            raise ValueError("vary must be 'gamma' or 'c'")
         x = np.asarray(values, dtype=float)[:, None]
-        # an overflowing value leaves inf or nan on the diagonal, which
+        if self.real_form is None:
+            out = np.empty((len(x), self.dim, self.dim), dtype=complex)
+            out[:] = self.tunneling
+            d = np.arange(self.dim)
+            out[:, d, d] += self._diagonal(vary, x)
+            return out
+        R, d = self.real_form, np.arange(self.dim)
+        p = np.arange(self.dim // 2)
+        q = self.dim - 1 - p
+        gamma, c = (x, self.c) if vary == "gamma" else (self.gamma, x)
+        out = np.empty((len(x), self.dim, self.dim))
+        out[:] = R
+        # an overflowing value leaves inf or nan in the matrix, which
         # ``spectra.eigenvalues`` reports with the point that produced it
         with np.errstate(over="ignore", invalid="ignore"):
-            if vary == "gamma":
-                diag = -2j * x * self.lz + 2.0 * self.c * self.lz_k
-            elif vary == "c":
-                diag = -2j * self.gamma * self.lz + 2.0 * x * self.lz_k
-            else:
-                raise ValueError("vary must be 'gamma' or 'c'")
-        out = np.empty((len(x), self.dim, self.dim), dtype=complex)
-        out[:] = self.tunneling
-        d = np.arange(self.dim)
-        out[:, d, d] += diag
+            out[:, d, d] = 2.0 * c * self.lz_k + R[d, d]
+            anti = 2.0 * gamma * self.lz[p]
+        out[:, p, q] = anti
+        out[:, q, p] = -anti
         return out
+
+    def _diagonal(self, vary, x, n=slice(None)):
+        """-2i gamma m + 2 c m^k, the diagonal of the complex H at indices n."""
+        gamma, c = (x, self.c) if vary == "gamma" else (self.gamma, x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return -2j * gamma * self.lz[n] + 2.0 * c * self.lz_k[n]
+
+    def scales(self, vary: str, values) -> np.ndarray:
+        """max(1, max|H|) of the complex H at each value of ``vary``.
+
+        Off the fixed tunneling, |H| peaks on the diagonal at n = 0, where
+        |m| and |m^k| are largest.
+        """
+        corner = self._diagonal(vary, np.asarray(values, dtype=float), 0)
+        return np.maximum(np.abs(corner), max(1.0, float(np.abs(self.tunneling).max())))
 
     @property
     def array(self) -> np.ndarray:
-        return self.stack("gamma", [self.gamma])[0]
+        H = self.tunneling.copy()
+        H[np.diag_indices(self.dim)] += self._diagonal("gamma", self.gamma)
+        return H
 
     def max_abs(self) -> float:
         return float(np.abs(self.array).max())

@@ -9,6 +9,14 @@ The first is fast and backward stable; the second stays accurate even at
 strongly non-normal points (near higher-order degeneracies the dense solver
 loses up to half the digits per Jordan order, while polynomial roots from
 exact coefficients do not). Each serves as the other's oracle in the tests.
+
+The dense route solves what ``HamiltonianFamily.stack`` gives: for even k
+the real PT form of H, by real LAPACK (dgeev), at half the cost of a
+complex solve and with every non-real eigenvalue paired with its exact
+conjugate; for odd k, which has no PT symmetry, the complex H by zgeev.
+Sweeps, trajectories and the EP locator's pair counts all go through
+``stacked_spectra``. scipy (its assignment solver, for branch matching and
+``classify``) is imported only when one of those runs.
 """
 
 from __future__ import annotations
@@ -16,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ._roots import polynomial_roots
 from .exact_poly import charpoly_of_tridiagonal
@@ -48,7 +55,8 @@ class ClassificationError(RuntimeError):
     """Krein pairing violated: an unpaired non-real eigenvalue."""
 
 
-# Stacked eigensolves take at most this many bytes of matrices at a time.
+# Stacked eigensolves take at most this many bytes of complex matrices at a
+# time (half of it for a real PT form: the count of matrices is the same).
 _STACK_BYTES = 1 << 20
 
 
@@ -61,11 +69,15 @@ def eigenvalues(matrix, context: str = "") -> np.ndarray:
     """All eigenvalues of a float matrix by the dense LAPACK solver, ordered by (Re, Im).
 
     A stack of shape (..., M, M) gives each matrix's sorted eigenvalues
-    along the last axis, the same bits as one call per matrix. Exact
-    matrices go through ``exact_spectrum``, the accurate route at and near
-    exceptional points.
+    along the last axis, the same bits as one call per matrix. A float64
+    matrix is solved as real (LAPACK dgeev), so every non-real eigenvalue
+    comes with its exact conjugate; any other matrix is solved as complex.
+    The result is complex either way. Exact matrices go through
+    ``exact_spectrum``, the accurate route at and near exceptional points.
     """
-    arr = np.asarray(matrix, dtype=complex)
+    arr = np.asarray(matrix)
+    if arr.dtype != np.float64:
+        arr = np.asarray(arr, dtype=complex)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise SpectralError(f"matrix is not square {context}")
     if not np.all(np.isfinite(arr)):
@@ -74,7 +86,7 @@ def eigenvalues(matrix, context: str = "") -> np.ndarray:
         vals = np.linalg.eigvals(arr)
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"eigensolver did not converge {context}: {exc}") from exc
-    return _sorted_eigs(vals)
+    return _sorted_eigs(vals.astype(complex, copy=False))
 
 
 def eigenvalues_from_charpoly(charpoly, value) -> np.ndarray:
@@ -134,18 +146,16 @@ def stacked_spectra(family, vary: str, values):
     """Sorted eigenvalues and scale max(1, max|H|) of a family's H at each value of ``vary``.
 
     ``family`` is an orthonormal ``HamiltonianFamily``. Returns the
-    (len(values), N+1) eigenvalue array and the list of scales. Matrices are
-    eigensolved in stacks of at most _STACK_BYTES, so the matrices held at
-    once do not grow with the number of values. A failing stack is solved
-    again one matrix at a time, so the error names its first failing point.
+    (len(values), N+1) eigenvalue array and the array of scales, those of
+    the complex H. Even k solves the real PT form of H (``family.stack``),
+    odd k H itself. Matrices are eigensolved in stacks of at most
+    _STACK_BYTES / (16 (N+1)^2) matrices, so the matrices held at once do
+    not grow with the number of values. A failing stack is solved again
+    one matrix at a time, so the error names its first failing point.
     """
     values = [float(x) for x in values]
     step = max(1, _STACK_BYTES // (16 * family.dim**2))
-    # only the diagonal varies, so max|H| needs |H| of the diagonal alone
-    # and of the fixed tunneling once, not |H| of the whole stack
-    d = np.arange(family.dim)
-    floor = max(1.0, float(np.abs(family.tunneling).max()))
-    rows, scales = [], []
+    rows = []
     for i in range(0, len(values), step):
         xs = values[i:i + step]
         H = family.stack(vary, xs)
@@ -157,8 +167,8 @@ def stacked_spectra(family, vary: str, values):
                 gamma, c = (x, family.c) if vary == "gamma" else (family.gamma, x)
                 eigenvalues(h, context=f"(N={p.particles}, gamma={gamma}, v={float(p.v)}, c={c})")
             raise
-        scales.extend(np.maximum(np.abs(H[:, d, d]).max(axis=1), floor).tolist())
-    return np.concatenate(rows or [np.empty((0, family.dim), dtype=complex)]), scales
+    rows = np.concatenate(rows or [np.empty((0, family.dim), dtype=complex)])
+    return rows, family.scales(vary, values)
 
 
 def sweep(params: ModelParams, vary: str, grid) -> np.ndarray:
@@ -170,6 +180,8 @@ def sweep(params: ModelParams, vary: str, grid) -> np.ndarray:
 
 def optimal_match_distance(a, b) -> float:
     """Max pair distance under the optimal assignment of two eigenvalue sets."""
+    from scipy.optimize import linear_sum_assignment
+
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     cost = np.abs(a[:, None] - b[None, :])
@@ -188,6 +200,8 @@ def _match_step(prev, cur):
     flagged when it exceeds _JUMP_RATIO times the median jump. The jumps,
     hence the flag, do not depend on the order of ``prev``.
     """
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.abs(prev[:, None] - cur[None, :])
     r, c = linear_sum_assignment(cost)
     ordered = np.empty(len(prev), dtype=complex)
@@ -281,10 +295,9 @@ def classify(vals, imag_tol, pair_tol=None) -> Classification:
     Eigenvalues with |Im| <= imag_tol count as real; the rest must pair
     under conjugation, else the Krein symmetry is numerically violated and
     an error is raised. ``pair_tol`` bounds the pairing residual, by default
-    max(4 imag_tol, 1e-10 * scale) with scale = max(1, max|lambda|); callers
-    bisecting toward an exceptional point pass a looser value because
-    dense-solver noise there grows like sqrt(eps) / (distance to the
-    EP)^(1/4).
+    max(4 imag_tol, 1e-10 * scale) with scale = max(1, max|lambda|); the
+    exact count of the EP locator passes inf, to check only the balance.
+    Spectra of a real PT form need none of this: their pairs are exact.
     """
     vals = np.asarray(vals, dtype=complex)
     real_mask = np.abs(vals.imag) <= imag_tol
@@ -295,6 +308,8 @@ def classify(vals, imag_tol, pair_tol=None) -> Classification:
             f"unpaired non-real eigenvalues: {len(upper)} above vs {len(lower)} below axis"
         )
     if len(upper):
+        from scipy.optimize import linear_sum_assignment
+
         cost = np.abs(upper[:, None] - np.conj(lower)[None, :])
         r, c = linear_sum_assignment(cost)
         residual = cost[r, c].max()

@@ -1,10 +1,15 @@
 """CLI subcommands: formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import epspectra
 from epspectra.cli import main, parse_range
 from epspectra.operators import UsageError
 
@@ -247,6 +252,29 @@ class TestEpMapCommand:
         assert err.startswith("numerical failure:")
         assert "(N=3, gamma=0.0, v=1.0, c=1e+308)" in err
 
+    def test_tight_bracket_at_strong_coupling(self, tmp_path):
+        # bisection ends within 1e-15 of each EP, where the two members of
+        # a conjugate pair must still be counted alike
+        code, text = run_cli(
+            tmp_path, "ep-map", "-N", "11", "--c", "7.3:7.3:1", "--tol", "1e-15")
+        assert code == 0
+        assert len(text.strip().split("\n")) == 1 + 6
+
+    def test_loads_no_scipy(self):
+        # a fresh interpreter: importing the CLI and mapping EPs never
+        # needs scipy's assignment solver
+        code = ("import sys\n"
+                "from epspectra.cli import main\n"
+                "assert main(['ep-map', '-N', '3', '--c', '0.1:0.1:1']) == 0\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        src = str(Path(epspectra.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip().split("\n")[-1] == "[]"
+
     def test_json_mirror(self, tmp_path):
         code, text = run_cli(
             tmp_path, "ep-map", "--particles", "2", "--c", "0.01:0.1:2",
@@ -330,10 +358,25 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("usage error:")
 
-    @pytest.mark.parametrize("v", ["1e200", "1e400", "1e-400"])
+    @pytest.mark.parametrize("v", ["1e200", "1e400", "1e-200", "1e-400"])
     def test_exact_v_beyond_the_float_range(self, v, capsys):
-        # the leading coefficients scale like a power of v and overflow or
-        # underflow as floats; 1e-400 is no float, but it is not 0 either
+        # the reduced polynomials' coefficients scale like powers of v and
+        # overflow or underflow as floats (1e-400 is no float, but it is not
+        # 0 either); an exact power-of-two rescaling brings them into range,
+        # so the rings are those of v = 1, the triplet's modulus times v^(2/3)
+        assert main(["newton", "-N", "3", "--v", v, "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["observed_ring_sizes"] == {"1": 1, "3": 1}
+        expected = 3.6342411856642793 * 10 ** (2 / 3 * int(v[2:]))
+        for ring in doc["rings"]:
+            if ring["size"] == 3:
+                assert ring["modulus"] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("v", ["1e1000", "1e-1000"])
+    def test_leading_coefficient_beyond_the_float_range(self, v, capsys):
+        # the triplet's e1 is about 1e+-667 here, no float
         assert main(["newton", "-N", "3", "--v", v]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("numerical failure:")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from epspectra import ep_locator
+from epspectra import ep_locator, spectra
 from epspectra.ep_locator import (
     EPLocationError,
     ep_map,
@@ -67,15 +67,22 @@ class TestStackedScan:
         assert len(seen) == (512 if c == 0.0 else 0)  # c = 0 counts exactly only
         assert stacked == [_count_at(g, 11, 1.0, c) for g in grid]
 
-    def test_classification_fallback_inside_a_stack(self, monkeypatch):
-        # README grid, c = 0.004: the dense pairing fails at this gamma, met
-        # while bisecting the first EP, so the exact route counts it
+    def test_counter_is_the_vectorized_rule_on_a_stack(self, monkeypatch):
+        # README grid, c = 0.004, plus a gamma met while bisecting the first
+        # EP: each count is the number of eigenvalues of the stacked
+        # real-form solve with Im > 1e-7 * scale, as many as below
+        # -1e-7 * scale, and no point is counted exactly
         seen = self._record_exact(monkeypatch)
         gamma = 0.9407173052226027
         grid = sorted(np.linspace(0.0, 7.0, 512).tolist() + [gamma])
         stacked = ep_locator._pair_count_fn(11, 1.0, 0.004)(grid)
-        assert seen == [gamma]
-        assert stacked == [_count_at(g, 11, 1.0, 0.004) for g in grid]
+        family = build_generalized_hamiltonian(ModelParams(particles=11, v=1.0, c=0.004))
+        rows, scales = spectra.stacked_spectra(family, "gamma", grid)
+        above = [int(np.sum(row.imag > 1e-7 * s)) for row, s in zip(rows, scales)]
+        below = [int(np.sum(row.imag < -1e-7 * s)) for row, s in zip(rows, scales)]
+        assert seen == []
+        assert stacked == above == below
+        assert max(stacked) == 6
 
 
 class TestBisectionTolerance:
@@ -252,6 +259,13 @@ class TestLocateEps:
         assert all(r.order == 2 and r.method == "pair-count-bisection" for r in recs)
         assert all(r.bracket_width <= 1e-9 for r in recs)
         assert [r.gamma for r in recs] == sorted(r.gamma for r in recs)
+
+    def test_small_c_eps_match_a_high_precision_count(self):
+        # README map, c = 0.004: bisecting an mpmath pair count (40 digits,
+        # |Im| > 1e-18) puts EPs 1 and 2 here
+        recs = locate_eps(11, 1, 0.004)
+        assert abs(recs[1].gamma - 0.896504557944086) <= 2e-9
+        assert abs(recs[2].gamma - 0.940720888885327) <= 2e-9
 
     def test_n2_limits_to_mother_ep(self):
         # as c -> 0 the single second-order EP approaches gamma = v

@@ -1,5 +1,7 @@
 """Operator builders: ladders, Cartesian components, Hamiltonians, parity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,9 @@ class TestHamiltonian:
                 for fixed in values:
                     family = HamiltonianFamily(
                         ModelParams(particles=N, gamma=fixed, v=v, c=fixed, pert_power=k))
+                    assert family.array.tobytes() == composed(N, k, fixed, fixed)
+                    if k % 2 == 0:
+                        continue  # even k stacks the real PT form: see TestRealPTForm
                     for x, H in zip(values, family.stack("gamma", values)):
                         assert H.tobytes() == composed(N, k, x, fixed)
                     for x, H in zip(values, family.stack("c", values)):
@@ -199,6 +204,63 @@ class TestHamiltonian:
             ModelParams(particles=4, gamma=1, v=0, c=0)
         with pytest.raises(UsageError):
             AngularMomentumRep(0)
+
+
+class TestRealPTForm:
+    """Even k: ``stack`` is T^H H T for the unitary T of the family's docstring."""
+
+    @staticmethod
+    def pt_basis(N):
+        # u_n at column n, w_n at column N - n for n < N/2, e_{N/2} in the middle
+        T = np.zeros((N + 1, N + 1), dtype=complex)
+        for n in range((N + 1) // 2):
+            T[n, n] = T[N - n, n] = 1 / np.sqrt(2)
+            T[n, N - n], T[N - n, N - n] = 1j / np.sqrt(2), -1j / np.sqrt(2)
+        if N % 2 == 0:
+            T[N // 2, N // 2] = 1.0
+        return T
+
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("N", [1, 2, 4, 5, 11])
+    def test_equals_the_rotated_complex_hamiltonian(self, N, k):
+        T = self.pt_basis(N)
+        assert np.abs(T.conj().T @ T - np.eye(N + 1)).max() < 1e-15
+        values = [0.0, 0.1 / 11, 0.83, 1.0, 3.7]
+        for fixed in values:
+            params = ModelParams(particles=N, gamma=fixed, v=1.5, c=fixed, pert_power=k)
+            family = HamiltonianFamily(params)
+            for vary in ("gamma", "c"):
+                stack = family.stack(vary, values)
+                assert stack.dtype == np.float64
+                for x, R in zip(values, stack):
+                    H = HamiltonianFamily(replace(params, **{vary: x})).array
+                    ref = T.conj().T @ H @ T
+                    scale = np.abs(H).max()
+                    assert np.abs(ref.imag).max() <= 1e-15 * scale
+                    assert np.abs(R - ref.real).max() <= 1e-15 * scale
+
+    def test_gamma_and_c_stacks_give_the_same_bits(self):
+        for N in (4, 5, 11):
+            params = ModelParams(particles=N, gamma=0.83, v=1.0, c=0.1 / 11)
+            along_gamma = HamiltonianFamily(replace(params, gamma=0.0)).stack("gamma", [0.83])
+            along_c = HamiltonianFamily(replace(params, c=0.0)).stack("c", [0.1 / 11])
+            assert along_gamma.tobytes() == along_c.tobytes()
+
+    def test_odd_k_stacks_the_complex_hamiltonian(self):
+        family = HamiltonianFamily(ModelParams(particles=5, gamma=0.3, v=1.0, c=0.2, pert_power=3))
+        assert family.stack("gamma", [0.3])[0].tobytes() == family.array.tobytes()
+
+    def test_scales_are_those_of_the_complex_hamiltonian(self):
+        # the real form's largest entry is not max|H|: the middle coupling
+        # of even N is sqrt2 larger
+        values = [0.0, 0.1, 0.83, 3.7]
+        for N, k in ((4, 2), (5, 2), (11, 4), (40, 3)):
+            params = ModelParams(particles=N, gamma=0.5, v=1.0, c=0.02, pert_power=k)
+            family = HamiltonianFamily(params)
+            for vary in ("gamma", "c"):
+                for x, scale in zip(values, family.scales(vary, values)):
+                    one = HamiltonianFamily(replace(params, **{vary: x}))
+                    assert scale == max(1.0, one.max_abs())
 
 
 class TestRotatedHamiltonian:

@@ -91,6 +91,47 @@ class TestEigenvalues:
             assert row.tobytes() == eigenvalues(one.array).tobytes()
             assert scale == max(1.0, one.max_abs())
 
+    def test_sweep_stacks_match_one_point_solves_in_the_real_form(self):
+        # the even-k twin: 100 points in three stacked solves of the real PT
+        # form, each row the bits of a one-point solve of the same real
+        # matrix, each scale max(1, max|H|) of the complex H
+        params = ModelParams(particles=40, gamma=0.0, v=1.0, c=0.0025)
+        grid = np.linspace(0.0, 1.5, 100)
+        swept = sweep(params, "gamma", grid)
+        family = spectra.build_generalized_hamiltonian(params, "orthonormal")
+        rows, scales = spectra.stacked_spectra(family, "gamma", grid)
+        assert swept.shape == (100, 41) and swept.tobytes() == rows.tobytes()
+        for g, row, scale in zip(grid, swept, scales):
+            one = spectra.build_generalized_hamiltonian(replace(params, gamma=float(g)))
+            real_form = one.stack("gamma", [float(g)])[0]
+            assert real_form.dtype == np.float64
+            assert row.tobytes() == eigenvalues(real_form).tobytes()
+            assert scale == max(1.0, one.max_abs())
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_even_k_rows_hold_exact_conjugates(self, k):
+        # dgeev on the real form: each non-real eigenvalue comes with its
+        # exact conjugate (equal floats; only the sign of a zero Im differs)
+        params = ModelParams(particles=11, gamma=0.0, v=1.0, c=0.1 / 11, pert_power=k)
+        rows = sweep(params, "gamma", np.linspace(0.0, 7.0, 300))
+        assert np.count_nonzero(rows.imag) > 1000
+        for row in rows:
+            conj = np.conj(row)
+            order = np.lexsort((conj.imag, conj.real))
+            assert np.array_equal(conj[order], row)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_odd_k_rows_are_the_complex_solve(self, k):
+        # odd k has no real form: each row is the sorted complex LAPACK
+        # solve of H itself
+        params = ModelParams(particles=11, gamma=0.0, v=1.0, c=0.05, pert_power=k)
+        grid = np.linspace(0.0, 3.0, 40)
+        for g, row in zip(grid, sweep(params, "gamma", grid)):
+            H = spectra.build_generalized_hamiltonian(replace(params, gamma=float(g))).array
+            vals = np.linalg.eigvals(np.asarray(H, dtype=complex))
+            order = np.lexsort((vals.imag, vals.real))
+            assert row.tobytes() == vals[order].tobytes()
+
     def test_stack_failure_names_its_point(self):
         params = ModelParams(particles=3, gamma=0.0, v=1.0, c=0.1)
         with pytest.raises(SpectralError, match=r"gamma=1e\+308"):
