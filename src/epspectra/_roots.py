@@ -1,6 +1,7 @@
-"""Polynomial root finding: companion-matrix eigenvalues plus Newton polish.
+"""Polynomial root finding, and the optimal assignment that matches spectra.
 
-Zero roots are taken exactly by stripping vanishing low-order coefficients
+Polynomial roots are companion-matrix eigenvalues plus Newton polish. Zero
+roots are taken exactly by stripping vanishing low-order coefficients
 before forming the companion matrix; this is what makes a fully degenerate
 characteristic polynomial lambda^M return exact zeros.
 """
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["RootFindingError", "polynomial_roots"]
+__all__ = ["RootFindingError", "polynomial_roots", "min_cost_assignment"]
 
 
 class RootFindingError(RuntimeError):
@@ -71,3 +72,82 @@ def polynomial_roots(coeffs):
     if not np.all(np.isfinite(roots)):
         raise RootFindingError("Newton polishing diverged")
     return np.concatenate([zero_roots, roots])
+
+
+def min_cost_assignment(cost):
+    """Columns of a minimum-total-cost assignment: row i goes to column cols[i].
+
+    The answer is scipy's ``linear_sum_assignment``, ties included. When
+    the row argmins (each row's first minimum) form a permutation, they are
+    returned at once: the sum of row minima bounds every assignment from
+    below, and any other assignment that reached it would move some row to
+    a later minimum and none to an earlier one, which no permutation can.
+    Otherwise the shortest-augmenting-path solver of Crouse (2016) runs, as
+    scipy's ``rectangular_lsap`` does it: the same float operations in the
+    same order and the same tie rules, so ties resolve as in scipy. The
+    matrix must be square and free of NaN and -inf, else ValueError.
+    """
+    cost = np.asarray(cost, dtype=float)
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+        raise ValueError(f"cost matrix must be square, not of shape {cost.shape}")
+    if not (cost > -np.inf).all():
+        raise ValueError("cost matrix has NaN or -inf entries")
+    cols = cost.argmin(axis=1)
+    if len(set(cols.tolist())) == len(cols):
+        return cols
+    return _shortest_augmenting_paths(cost)
+
+
+def _shortest_augmenting_paths(cost):
+    """Crouse's solver, line for line as scipy's ``rectangular_lsap`` (square case)."""
+    n = len(cost)
+    c = cost.tolist()
+    inf = float("inf")
+    u, v = [0.0] * n, [0.0] * n
+    path, col4row, row4col = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        # shortest augmenting path from row cur; columns are scanned in
+        # reverse so that a constant matrix gives the identity
+        remaining = list(range(n - 1, -1, -1))
+        rows_seen, cols_seen = [False] * n, [False] * n
+        shortest = [inf] * n
+        min_val, i, sink = 0.0, cur, -1
+        while sink == -1:
+            index, lowest = -1, inf
+            rows_seen[i] = True
+            row, ui = c[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                # on equal cost prefer a free column: it ends the path
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
+                    lowest, index = shortest[j], it
+            min_val = lowest
+            if min_val == inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # update the dual variables, then augment along the path
+        u[cur] += min_val
+        for i in range(n):
+            if rows_seen[i] and i != cur:
+                u[i] += min_val - shortest[col4row[i]]
+        for j in range(n):
+            if cols_seen[j]:
+                v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return np.array(col4row)

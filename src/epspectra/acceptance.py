@@ -339,10 +339,6 @@ def run(keys=None, tol_scale=1.0):
         raise UsageError(f"unknown criterion {', '.join(map(repr, unknown))}; "
                          f"valid keys: {', '.join(known)}")
     selected = CRITERIA if not keys else [c for c in CRITERIA if c[0] in set(keys)]
-    # c0-spectrum, krein-symmetry and classification match spectra by
-    # optimal assignment; load scipy's solver once, before any criterion,
-    # so that no criterion's time includes the one-off import
-    import scipy.optimize  # noqa: F401
     results = []
     for key, description, fn in selected:
         try:

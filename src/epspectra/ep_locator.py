@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectra
+from ._roots import min_cost_assignment
 from .exact_poly import charpoly_of_tridiagonal, rat
 from .operators import ModelParams, UsageError, build_generalized_hamiltonian
 
@@ -314,13 +315,10 @@ def strong_coupling_validation(particles, v, gamma, c) -> StrongCouplingReport:
     predicted = np.array(
         [2.0 * c * p.m_z**2 + p.e1 for p in strong_coupling_predictions(particles, v, gamma)]
     )
-    cost = np.abs(actual[:, None] - predicted[None, :])
-    from scipy.optimize import linear_sum_assignment
-
-    rows, cols = linear_sum_assignment(cost)
+    cols = min_cost_assignment(np.abs(actual[:, None] - predicted[None, :]))
     rel = 5.0 * (v * particles / c) if c else np.inf
     levels = []
-    for i, j in zip(rows, cols):
+    for i, j in enumerate(cols):
         expected = predicted[j]
         err = float(np.abs(actual[i] - expected))
         bound = rel * max(1.0, abs(expected))

@@ -15,8 +15,8 @@ the real PT form of H, by real LAPACK (dgeev), at half the cost of a
 complex solve and with every non-real eigenvalue paired with its exact
 conjugate; for odd k, which has no PT symmetry, the complex H by zgeev.
 Sweeps, trajectories and the EP locator's pair counts all go through
-``stacked_spectra``. scipy (its assignment solver, for branch matching and
-``classify``) is imported only when one of those runs.
+``stacked_spectra``. Branch matching and ``classify`` pair eigenvalues by
+the package's own optimal assignment, ``_roots.min_cost_assignment``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import polynomial_roots
+from ._roots import min_cost_assignment, polynomial_roots
 from .exact_poly import charpoly_of_tridiagonal
 from .operators import ModelParams, OperatorMatrix, build_generalized_hamiltonian
 
@@ -180,13 +180,10 @@ def sweep(params: ModelParams, vary: str, grid) -> np.ndarray:
 
 def optimal_match_distance(a, b) -> float:
     """Max pair distance under the optimal assignment of two eigenvalue sets."""
-    from scipy.optimize import linear_sum_assignment
-
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    return float(cost[np.arange(len(a)), min_cost_assignment(cost)].max())
 
 
 _JUMP_RATIO = 10.0
@@ -200,12 +197,7 @@ def _match_step(prev, cur):
     flagged when it exceeds _JUMP_RATIO times the median jump. The jumps,
     hence the flag, do not depend on the order of ``prev``.
     """
-    from scipy.optimize import linear_sum_assignment
-
-    cost = np.abs(prev[:, None] - cur[None, :])
-    r, c = linear_sum_assignment(cost)
-    ordered = np.empty(len(prev), dtype=complex)
-    ordered[r] = cur[c]
+    ordered = cur[min_cost_assignment(np.abs(prev[:, None] - cur[None, :]))]
     jumps = np.abs(ordered - prev)
     floor = 1e-14 * max(1.0, np.abs(cur).max())
     return ordered, jumps.max() > _JUMP_RATIO * max(np.median(jumps), floor), jumps.max()
@@ -229,13 +221,17 @@ def match_branches(params, spectra):
         if jumped:
             flagged.append(i)
         rows.append(ordered)
+    return _trajectories(params, rows), flagged
+
+
+def _trajectories(params, rows):
+    """One Trajectory per column of the matched eigenvalue rows."""
     table = np.array(rows)  # (points, branches)
-    trajectories = [
+    return [
         Trajectory(branch=b, parameters=np.array(params, dtype=float),
                    values=table[:, b].copy())
         for b in range(table.shape[1])
     ]
-    return trajectories, flagged
 
 
 def matched_sweep(params: ModelParams, vary: str, grid, max_levels: int = 12,
@@ -247,9 +243,11 @@ def matched_sweep(params: ModelParams, vary: str, grid, max_levels: int = 12,
     exceeds _SHRINK_RATIO (0.6) times that of the piece it came from, and
     while it is wider than 2^-max_levels of the step. Fast smooth motion
     halves its jump with the step and stops there; a square-root branch
-    point shrinks it only by 1/sqrt(2) and is followed to the floor. Flags
-    depend only on a piece's two end spectra, so the sweep is matched once.
-    A one-point grid has no step, so nothing is refined.
+    point shrinks it only by 1/sqrt(2) and is followed to the floor. Each
+    piece is matched to the matched row at its left end, and a kept piece
+    keeps that match: the trajectories are those of ``match_branches`` on
+    the returned points, with no second pass. A one-point grid has no
+    step, so nothing is refined.
 
     ``evaluate`` maps a list of ``vary`` values to eigenvalue rows (default:
     ``stacked_spectra`` of H at ``params``); it gets the whole grid, then each
@@ -266,7 +264,8 @@ def matched_sweep(params: ModelParams, vary: str, grid, max_levels: int = 12,
     if len(grid) < 1:
         raise ValueError("refinement needs at least one grid point")
     rows = evaluate(grid)
-    points, spectra = [grid[0]], [rows[0]]
+    # the matched rows: each kept piece appends its right end, ordered
+    points, spectra = [grid[0]], [np.array(rows[0], dtype=complex)]
     unresolved = []
     for lo, hi, row in zip(grid, grid[1:], rows[1:]):
         floor = (hi - lo) / 2**max_levels
@@ -274,7 +273,7 @@ def matched_sweep(params: ModelParams, vary: str, grid, max_levels: int = 12,
         pending = [(hi, row, 0.0)]  # a grid step has no parent: halve if flagged
         while pending:
             x, spec, parent = pending[-1]
-            _, flagged, jump = _match_step(spectra[-1], spec)
+            ordered, flagged, jump = _match_step(spectra[-1], spec)
             if flagged and jump > _SHRINK_RATIO * parent:
                 if x - points[-1] > floor:
                     mid = (points[-1] + x) / 2.0
@@ -284,9 +283,8 @@ def matched_sweep(params: ModelParams, vary: str, grid, max_levels: int = 12,
                 unresolved.append((points[-1], x))
             pending.pop()
             points.append(x)
-            spectra.append(spec)
-    trajectories, _ = match_branches(points, spectra)
-    return trajectories, unresolved
+            spectra.append(ordered)
+    return _trajectories(points, spectra), unresolved
 
 
 def classify(vals, imag_tol, pair_tol=None) -> Classification:
@@ -308,11 +306,8 @@ def classify(vals, imag_tol, pair_tol=None) -> Classification:
             f"unpaired non-real eigenvalues: {len(upper)} above vs {len(lower)} below axis"
         )
     if len(upper):
-        from scipy.optimize import linear_sum_assignment
-
         cost = np.abs(upper[:, None] - np.conj(lower)[None, :])
-        r, c = linear_sum_assignment(cost)
-        residual = cost[r, c].max()
+        residual = cost[np.arange(len(upper)), min_cost_assignment(cost)].max()
         if pair_tol is None:
             pair_tol = max(4.0 * imag_tol, 1e-10 * max(1.0, float(np.abs(vals).max())))
         if residual > pair_tol:

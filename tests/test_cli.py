@@ -261,12 +261,16 @@ class TestEpMapCommand:
         assert len(text.strip().split("\n")) == 1 + 6
 
     def test_loads_no_scipy(self):
-        # a fresh interpreter: importing the CLI and mapping EPs never
-        # needs scipy's assignment solver
+        # a fresh interpreter: mapping EPs, the checks that match spectra
+        # and branch matching all run without scipy
         code = ("import sys\n"
                 "from epspectra.cli import main\n"
                 "assert main(['ep-map', '-N', '3', '--c', '0.1:0.1:1']) == 0\n"
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+                "assert main(['verify', '--only', 'c0-spectrum,krein-symmetry,"
+                "classification,strong-coupling']) == 0\n"
+                "assert main(['trajectory', '-N', '5', '--gamma', '1', "
+                "'--c', '0.0004:0.04:60:log']) == 0\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
         src = str(Path(epspectra.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))

@@ -27,6 +27,7 @@ from epspectra.newton_polygon import (
 )
 from epspectra.operators import ModelParams, build_generalized_hamiltonian
 from epspectra import spectra
+from epspectra._roots import min_cost_assignment
 
 
 def gr(re, im=0):
@@ -258,11 +259,8 @@ class TestNumericalAgreement:
                 [b.e1 * c ** b.mu for b in analysis.branches]
                 + [0.0] * analysis.zero_branch_count
             )
-            from scipy.optimize import linear_sum_assignment
-
             cost = np.abs(ev[:, None] - predicted[None, :])
-            r, col = linear_sum_assignment(cost)
-            for i, j in zip(r, col):
+            for i, j in enumerate(min_cost_assignment(cost)):
                 ref = abs(predicted[j])
                 if ref == 0:
                     continue

@@ -4,8 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.optimize import linear_sum_assignment
 
-from epspectra import ep_locator, spectra
+from epspectra import _roots, ep_locator, spectra
+from epspectra._roots import min_cost_assignment
 from epspectra.exact_poly import Rational, charpoly_of_tridiagonal, rat
 from epspectra.operators import ModelParams, build_generalized_hamiltonian
 from epspectra.spectra import (
@@ -322,6 +327,92 @@ class TestSweepAndMatching:
         monkeypatch.undo()
         expected = match_branches(points, sweep(params, "c", points))[0]
         assert all(np.array_equal(t.values, e.values) for t, e in zip(trajectories, expected))
+
+    def test_each_piece_is_matched_once(self, monkeypatch):
+        # trajectory -N 11 --gamma 0.9 --c 0.001:1:200:log: one match per
+        # piece checked, kept or halved, and none after the loop
+        params = ModelParams(particles=11, gamma=0.9, v=1.0, c=0.0)
+        grid = np.geomspace(0.001, 1, 200)
+        calls = []
+        original = spectra._match_step
+
+        def match_step(prev, cur):
+            calls.append(1)
+            return original(prev, cur)
+
+        monkeypatch.setattr(spectra, "_match_step", match_step)
+        trajectories, _ = matched_sweep(params, "c", grid)
+        points = list(trajectories[0].parameters)
+        halved = len(points) - len(grid)
+        assert halved > 0
+        assert len(calls) == len(points) - 1 + halved
+        monkeypatch.undo()
+        expected = match_branches(points, sweep(params, "c", points))[0]
+        assert all(np.array_equal(t.values, e.values) for t, e in zip(trajectories, expected))
+
+
+def _scipy_cols(cost):
+    return linear_sum_assignment(cost)[1]
+
+
+@st.composite
+def _pt_tie_costs(draw):
+    # |x - (conj(y) + i z)| over a real-PT-form spectrum: real eigenvalues
+    # and exact conjugate pairs make many exactly equal costs
+    N = draw(st.integers(1, 12))
+    gamma = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5]))
+    c = draw(st.sampled_from([0.0, 0.01, 0.1]))
+    z = draw(st.sampled_from([0.0, 0.5, -1.0]))
+    ev = sweep(ModelParams(particles=N, gamma=gamma, v=1.0, c=c), "gamma", [gamma])[0]
+    return np.abs(ev[:, None] - (np.conj(ev)[None, :] + 1j * z))
+
+
+class TestMinCostAssignment:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 13).flatmap(
+        lambda n: hnp.arrays(float, (n, n), elements=st.integers(0, 3).map(float))))
+    def test_small_integer_ties_as_scipy(self, cost):
+        assert np.array_equal(min_cost_assignment(cost), _scipy_cols(cost))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_pt_tie_costs())
+    def test_conjugate_ties_as_scipy(self, cost):
+        assert np.array_equal(min_cost_assignment(cost), _scipy_cols(cost))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 13), st.floats(0.0, 1e3))
+    def test_constant_matrix_gives_the_identity(self, n, value):
+        cost = np.full((n, n), value)
+        assert np.array_equal(min_cost_assignment(cost), np.arange(n))
+        assert np.array_equal(_scipy_cols(cost), np.arange(n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 13).flatmap(lambda n: st.tuples(
+        st.permutations(range(n)),
+        hnp.arrays(float, (n, n), elements=st.sampled_from([0.5, 1.0, 1.5])))),
+        st.booleans())
+    def test_fast_path_and_port_agree_when_argmins_are_a_permutation(self, drawn, ties):
+        # row i's first minimum is 0.5 at perm[i]; with ties, later columns
+        # of the row may hold the same minimum
+        perm, cost = drawn
+        for i, j in enumerate(perm):
+            cost[i, :j + 1] = np.maximum(cost[i, :j + 1], 1.0)
+            if not ties:
+                cost[i, j + 1:] = np.maximum(cost[i, j + 1:], 1.0)
+        cost[np.arange(len(perm)), perm] = 0.5
+        assert list(min_cost_assignment(cost)) == list(perm)
+        assert list(_roots._shortest_augmenting_paths(cost)) == list(perm)
+        assert list(_scipy_cols(cost)) == list(perm)
+
+    @pytest.mark.parametrize("cost", [
+        [[np.nan]],
+        [[1.0, 2.0], [-np.inf, 0.0]],
+        [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+        [1.0, 2.0],
+    ])
+    def test_rejects_nan_minus_inf_and_non_square(self, cost):
+        with pytest.raises(ValueError):
+            min_cost_assignment(np.array(cost))
 
 
 class TestDepartureDirections:
