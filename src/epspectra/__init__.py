@@ -52,6 +52,7 @@ from .spectra import (
     analytic_c0_spectrum,
     classify,
     eigenvalues,
+    exact_spectra,
     exact_spectrum,
     match_branches,
     matched_sweep,

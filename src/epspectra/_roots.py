@@ -21,6 +21,10 @@ class RootFindingError(RuntimeError):
 # this relative size.
 _POLISH_ITERATIONS = 30
 _REL_TOL = 1e-12
+# Stacked eigensolves, of companion matrices here and of Hamiltonians in
+# ``spectra.stacked_spectra``, take at most this many bytes of complex
+# matrices at a time (half of it for a real PT form: as many matrices).
+_STACK_BYTES = 1 << 20
 
 
 def polynomial_roots(coeffs):
@@ -29,49 +33,62 @@ def polynomial_roots(coeffs):
     Companion-matrix eigenvalues seeded into Newton iteration on the
     polynomial itself; relative accuracy of simple roots is limited only by
     coefficient rounding. Exact zero roots (vanishing low coefficients) are
-    returned as exact zeros.
+    returned as exact zeros. A stack of rows (2-D) gives the list of each
+    row's roots, the same bits as one call per row: rows of equal degree
+    once stripped of zero coefficients share one eigensolve per block of at
+    most _STACK_BYTES of companion matrices; each row's polish stops alone.
     """
     c = np.asarray(coeffs, dtype=complex)
-    if c.size == 0 or not np.any(c):
+    rows = c.reshape(1, -1) if c.ndim < 2 else c
+    if rows.shape[1] == 0 or not rows.any(axis=1).all():
         raise RootFindingError("zero polynomial has no defined roots")
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(rows).all():
         raise RootFindingError("non-finite polynomial coefficients")
-    # strip exactly-zero trailing (high-order) coefficients
-    top = c.size - 1
-    while top > 0 and c[top] == 0:
-        top -= 1
-    c = c[: top + 1]
-    if c.size == 1:
-        return np.zeros(0, dtype=complex)
-    # exact zero roots from vanishing low-order coefficients
-    low = 0
-    while low < c.size and c[low] == 0:
-        low += 1
-    zero_roots = np.zeros(low, dtype=complex)
-    cc = c[low:]
-    m = cc.size - 1
-    if m == 0:
-        return zero_roots
-    comp = np.zeros((m, m), dtype=complex)
-    if m > 1:
-        comp[np.arange(1, m), np.arange(m - 1)] = 1.0
-    comp[:, -1] = -cc[:-1] / cc[-1]
-    try:
-        roots = np.linalg.eigvals(comp)
-    except np.linalg.LinAlgError as exc:
-        raise RootFindingError(f"companion eigensolve failed: {exc}") from exc
-    dc = cc[1:] * np.arange(1, m + 1)
-    rev, drev = cc[::-1], dc[::-1]
+    nonzero = rows != 0
+    low = nonzero.argmax(axis=1)
+    top = rows.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1)
+    degree, out = top - low, [np.zeros(n, dtype=complex) for n in low.tolist()]
+    for m in sorted(set(degree.tolist()) - {0}):
+        idx = np.flatnonzero(degree == m)
+        cc = rows[idx[:, None], low[idx, None] + np.arange(m + 1)]
+        step, roots = max(1, _STACK_BYTES // (16 * m * m)), []
+        for block in np.array_split(cc, range(step, len(cc), step)):
+            comp = np.zeros((len(block), m, m), dtype=complex)
+            comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+            comp[:, :, -1] = -block[:, :-1] / block[:, -1:]
+            try:
+                roots.append(np.linalg.eigvals(comp))
+            except np.linalg.LinAlgError as exc:
+                raise RootFindingError(f"companion eigensolve failed: {exc}") from exc
+        for i, r in zip(idx, _polished(cc, np.concatenate(roots))):
+            out[i] = np.concatenate([out[i], r])
+    return out[0] if c.ndim < 2 else out
+
+
+def _horner(rev, x):
+    """Each row of ``rev`` (highest power first) at that row of ``x``, as np.polyval does it."""
+    y = np.zeros_like(x)
+    for j in range(rev.shape[1]):
+        y = y * x + rev[:, j:j + 1]
+    return y
+
+
+def _polished(cc, roots):
+    """Newton steps on each row's roots until every step of that row is below _REL_TOL."""
+    rev, drev = cc[:, ::-1], (cc[:, 1:] * np.arange(1, cc.shape[1]))[:, ::-1]
+    active = np.arange(len(cc))
     for _ in range(_POLISH_ITERATIONS):
-        val = np.polyval(rev, roots)
-        der = np.polyval(drev, roots)
+        x = roots[active]
+        val, der = _horner(rev[active], x), _horner(drev[active], x)
         step = np.where(der != 0, val / np.where(der != 0, der, 1), 0)
-        roots = roots - step
-        if np.all(np.abs(step) <= _REL_TOL * np.maximum(1.0, np.abs(roots))):
+        x = x - step
+        roots[active] = x
+        active = active[~np.all(np.abs(step) <= _REL_TOL * np.maximum(1.0, np.abs(x)), axis=1)]
+        if not active.size:
             break
     if not np.all(np.isfinite(roots)):
         raise RootFindingError("Newton polishing diverged")
-    return np.concatenate([zero_roots, roots])
+    return roots
 
 
 def min_cost_assignment(cost):

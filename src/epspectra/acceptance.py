@@ -21,12 +21,7 @@ from .exact_poly import (
     rat,
     verify_trace_structure,
 )
-from .operators import (
-    ModelParams,
-    UsageError,
-    build_generalized_hamiltonian,
-    build_rotated_hamiltonian,
-)
+from .operators import ModelParams, UsageError, build_rotated_hamiltonian
 
 __all__ = ["CriterionResult", "CRITERIA", "run", "main_report"]
 
@@ -39,22 +34,14 @@ class CriterionResult:
     detail: str
 
 
-def _exact_c0_hamiltonian(N, gamma_rat):
-    params = ModelParams(particles=N, gamma=gamma_rat, v=1, c=0)
-    return build_generalized_hamiltonian(params, "monomial")
-
-
-# -- criteria -----------------------------------------------------------------
-
-
 def criterion_c0_spectrum(tol_scale=1.0):
     """Exact c=0 spectrum vs analytic law over 200 gamma points in [0, 2]."""
     N = 11
     tol = 1e-9 * N * tol_scale
+    gammas = [Rational(2 * k) / 199 for k in range(200)]
+    rows, _ = spectra.exact_spectra(ModelParams(particles=N, v=1, c=0), "gamma", gammas)
     worst = 0.0
-    for k in range(200):
-        g = Rational(2 * k) / 199
-        ev = spectra.exact_spectrum(_exact_c0_hamiltonian(N, g))
+    for g, ev in zip(gammas, rows):
         ana = spectra.analytic_c0_spectrum(ModelParams(particles=N, gamma=float(g), v=1.0, c=0.0))
         worst = max(worst, spectra.optimal_match_distance(ev, ana))
     return worst <= tol, f"max matched distance {worst:.3e} (tol {tol:.3e})"
@@ -202,13 +189,9 @@ def criterion_ring_law(tol_scale=1.0):
 def criterion_puiseux_scaling(tol_scale=1.0):
     """Triplet branches of N=11 fit a log-log slope 1/3 over c in [1e-6, 1e-4]."""
     N = 11
-    cp = newton_polygon.unfolding_charpoly(N, 2)
     cs = [Rational(1, 10**6) * 2**j for j in range(7)]
-    mods = []
-    for c in cs:
-        ev = spectra.eigenvalues_from_charpoly(cp, c)
-        mods.append(np.sort(np.abs(ev)))
-    mods = np.array(mods)
+    rows, _ = spectra.exact_spectra(ModelParams(particles=N, gamma=1, v=1), "c", cs)
+    mods = np.sort(np.abs(rows), axis=1)
     logs_c = np.log(np.array([float(c) for c in cs]))
     tol = 0.02 * tol_scale
     worst = 0.0
@@ -258,29 +241,20 @@ def criterion_krein_suite(tol_scale=1.0):
         N = int(rng.integers(2, 13))
         gamma = rat(float(rng.uniform(0.0, 2.0)))
         c = rat(float(rng.uniform(0.0, 1.5 / N)))
-        params = ModelParams(particles=N, gamma=gamma, v=1, c=c)
-        H = build_generalized_hamiltonian(params, "monomial")
-        scale = max(1.0, H.max_abs())
-        tol = 1e-9 * scale * tol_scale
-        ev = spectra.exact_spectrum(H)
+        (ev, evm), scales = spectra.exact_spectra(
+            ModelParams(particles=N, v=1, c=c), "gamma", [gamma, -gamma])
+        tol = 1e-9 * scales[0] * tol_scale
         if spectra.optimal_match_distance(ev, np.conj(ev)) > tol:
             return False, f"trial {trial}: conjugation closure violated"
-        Hm = build_generalized_hamiltonian(
-            ModelParams(particles=N, gamma=-gamma, v=1, c=c), "monomial"
-        )
-        if spectra.optimal_match_distance(ev, spectra.exact_spectrum(Hm)) > tol:
+        if spectra.optimal_match_distance(ev, evm) > tol:
             return False, f"trial {trial}: gamma-sign symmetry violated"
-        H0 = build_generalized_hamiltonian(
-            ModelParams(particles=N, gamma=gamma, v=1, c=0), "monomial")
-        ev0 = spectra.exact_spectrum(H0)
+        ev0 = spectra.exact_spectra(ModelParams(particles=N, v=1, c=0), "gamma", [gamma])[0][0]
         if spectra.optimal_match_distance(ev0, -ev0) > tol:
             return False, f"trial {trial}: c=0 sign closure violated"
     # the extra symmetry must break at c != 0
     N = 11
-    Hc = build_generalized_hamiltonian(
-        ModelParams(particles=N, gamma=rat("0.5"), v=1, c=rat("0.5") / N), "monomial"
-    )
-    evc = spectra.exact_spectrum(Hc)
+    evc = spectra.exact_spectra(
+        ModelParams(particles=N, v=1, c=rat("0.5") / N), "gamma", [rat("0.5")])[0][0]
     asym = spectra.optimal_match_distance(evc, -evc)
     ok = asym > 1e-3
     return ok, f"50 draws closed under conjugation and gamma-sign; c!=0 asymmetry {asym:.3e}"
@@ -288,17 +262,14 @@ def criterion_krein_suite(tol_scale=1.0):
 
 def criterion_classification(tol_scale=1.0):
     """Pair/real counts at gamma = 1 for N=11 (4+4 pairs) and N=5 (2+2)."""
-    H11 = build_generalized_hamiltonian(
-        ModelParams(particles=11, gamma=1, v=1, c=rat("0.1") / 11), "monomial"
-    )
-    ev11 = spectra.exact_spectrum(H11)
-    cls11 = spectra.classify(ev11, imag_tol=1e-9 * max(1.0, H11.max_abs()))
+    (ev11,), (scale11,) = spectra.exact_spectra(
+        ModelParams(particles=11, v=1, c=rat("0.1") / 11), "gamma", [1])
+    cls11 = spectra.classify(ev11, imag_tol=1e-9 * scale11)
     if (cls11.real_count, cls11.conjugate_pair_count) != (4, 4):
         return False, f"N=11: {cls11.real_count} real + {cls11.conjugate_pair_count} pairs"
-    H5 = build_generalized_hamiltonian(
-        ModelParams(particles=5, gamma=1, v=1, c=rat("0.1") / 5), "monomial")
-    ev5 = spectra.exact_spectrum(H5)
-    tol5 = 1e-9 * max(1.0, H5.max_abs())
+    (ev5,), (scale5,) = spectra.exact_spectra(
+        ModelParams(particles=5, v=1, c=rat("0.1") / 5), "gamma", [1])
+    tol5 = 1e-9 * scale5
     cls5 = spectra.classify(ev5, imag_tol=tol5)
     if (cls5.real_count, cls5.conjugate_pair_count) != (2, 2):
         return False, f"N=5: {cls5.real_count} real + {cls5.conjugate_pair_count} pairs"

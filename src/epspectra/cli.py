@@ -10,6 +10,7 @@ as exact fractions (0.1 means 1/10, not the nearest double).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -21,6 +22,13 @@ from .exact_poly import charpoly_of_tridiagonal, rat
 from .operators import ModelParams, UsageError, build_generalized_hamiltonian
 
 __all__ = ["main"]
+
+
+# spectrum, trajectory and ep-map refuse (usage error, before allocating) an
+# H of more than _MAX_MATRIX_ENTRIES entries, (N+1)^2 (N <= 2047: a 64 MiB
+# complex matrix), and more than _MAX_GRID_VALUES eigenvalues, points x (N+1).
+_MAX_MATRIX_ENTRIES = 1 << 22
+_MAX_GRID_VALUES = 1 << 22
 
 
 def _fmt(x: float) -> str:
@@ -48,6 +56,17 @@ class RangeSpec:
         if self.spacing == "log":
             return np.geomspace(self.lo, self.hi, self.steps)
         return np.linspace(self.lo, self.hi, self.steps)
+
+    def checked_grid(self, particles: int):
+        """The grid, once its size and that of H for N = ``particles`` are within the limits."""
+        dim = particles + 1
+        if dim * dim > _MAX_MATRIX_ENTRIES:
+            raise UsageError(f"N={particles} gives (N+1)^2 = {dim * dim} matrix entries, "
+                             f"above the limit of {_MAX_MATRIX_ENTRIES}")
+        if self.steps * dim > _MAX_GRID_VALUES:
+            raise UsageError(f"{self.steps} points x (N+1) = {self.steps * dim} eigenvalues, "
+                             f"above the limit of {_MAX_GRID_VALUES}")
+        return self.grid()
 
     def meta(self) -> dict:
         """The grid as the JSON metadata records it."""
@@ -150,7 +169,7 @@ def cmd_spectrum(args) -> int:
     v, c = _float(args.v), _float(args.c)
     params = ModelParams(particles=args.particles, gamma=0.0, v=v, c=c,
                          pert_power=args.pert_power)
-    grid = rng.grid()
+    grid = rng.checked_grid(args.particles)
     rows = spectra.sweep(params, "gamma", grid)
     if args.format == "json":
         doc = {
@@ -176,7 +195,7 @@ def cmd_trajectory(args) -> int:
     v, gamma = _float(args.v), _float(args.gamma)
     params = ModelParams(particles=args.particles, gamma=gamma, v=v, c=0.0,
                          pert_power=args.pert_power)
-    trajectories, unresolved = spectra.matched_sweep(params, "c", rng.grid())
+    trajectories, unresolved = spectra.matched_sweep(params, "c", rng.checked_grid(args.particles))
     if args.format == "csv":
         rows = np.column_stack([t.values for t in trajectories])
         text = _table("c", trajectories[0].parameters, rows, "csv")
@@ -309,7 +328,8 @@ def cmd_ep_map(args) -> int:
     rng = parse_range(args.c)
     v = _float(args.v)
     gamma_range = None if args.gamma_max is None else (0.0, _float(args.gamma_max))
-    emap = ep_locator.ep_map(args.particles, v, rng.grid(), gamma_range=gamma_range, tol=args.tol)
+    emap = ep_locator.ep_map(args.particles, v, rng.checked_grid(args.particles),
+                             gamma_range=gamma_range, tol=args.tol)
     if args.format == "json":
         doc = {
             "metadata": {
@@ -353,6 +373,7 @@ def cmd_verify(args) -> int:
     return 0 if ok else 3
 
 
+@functools.cache  # one parser per process: building it costs more than a parse
 def _build_parser() -> _Parser:
     parser = _Parser(prog="epspectra", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import spectra
 from ._roots import min_cost_assignment
-from .exact_poly import charpoly_of_tridiagonal, rat
-from .operators import ModelParams, UsageError, build_generalized_hamiltonian
+from .exact_poly import _continuant, rat
+from .operators import ModelParams, UsageError, build_generalized_hamiltonian, monomial_tridiagonal
 
 __all__ = [
     "EPRecord",
@@ -77,11 +77,8 @@ class StrongCouplingPrediction:
 
 
 def _exact_count(particles, gamma, v, c, tol):
-    params = ModelParams(
-        particles=particles, gamma=rat(float(gamma)), v=rat(float(v)), c=rat(float(c))
-    )
-    H = build_generalized_hamiltonian(params, "monomial")
-    vals = spectra.exact_spectrum(H)
+    params = ModelParams(particles=particles, v=rat(float(v)), c=rat(float(c)))
+    vals = spectra.exact_spectra(params, "gamma", [float(gamma)])[0][0]
     return spectra.classify(vals, imag_tol=tol, pair_tol=float("inf")).conjugate_pair_count
 
 
@@ -216,17 +213,17 @@ class MotherEPReport:
     modulus_tolerance: float
 
 
-def _jordan_structure(H):
-    """(H^M == 0, H^(M-1) != 0) for an exact tridiagonal M x M matrix H.
+def _jordan_structure(diag, offs):
+    """(H^M == 0, H^(M-1) != 0) for an M x M tridiagonal H, given as ``_continuant`` takes D H.
 
     H^M == 0 exactly when the characteristic polynomial is lambda^M. With
     every off-diagonal product nonzero H is irreducible, so its minimal
     polynomial is lambda^M too and H^(M-1) != 0; a reducible nilpotent H
     gives False even where H^(M-1) != 0.
     """
-    nilpotent = not any(charpoly_of_tridiagonal(H).monic_coefficients()[:-1])
-    return nilpotent, not nilpotent or all(
-        H.entries[j - 1][j] * H.entries[j][j - 1] for j in range(1, H.dim))
+    monic = _continuant(diag, offs)
+    nilpotent = len(monic) == 1 and not any(re or im for re, im in monic[0][:-1])
+    return nilpotent, not nilpotent or all(any(re or im for re, im in b) for b in offs)
 
 
 def mother_ep_check(particles, v=1) -> MotherEPReport:
@@ -241,17 +238,16 @@ def mother_ep_check(particles, v=1) -> MotherEPReport:
     admits accuracy ~ eps^(1/(N+1)) on that route.
     """
     vr = rat(v)
-    params = ModelParams(particles=particles, gamma=vr, v=vr, c=0)
-    H = build_generalized_hamiltonian(params, "monomial")
-    nilpotent, nonzero = _jordan_structure(H)
+    params = ModelParams(particles=particles, v=vr, c=0)
+    _, diag, upper, lower = monomial_tridiagonal(particles, vr, vr, 0, params.pert_power)
+    nilpotent, nonzero = _jordan_structure(diag, [[(u * w, 0)] for u, w in zip(upper, lower)])
     if not (nilpotent and nonzero):
         raise NilpotencyError(
             f"mother EP structure violated at N={particles}, v={v}: "
             f"H^{particles + 1} zero: {nilpotent}, H^{particles} nonzero: {nonzero}"
         )
-    scale = H.max_abs()
-    exact_route = float(np.abs(spectra.exact_spectrum(H)).max())
-    return MotherEPReport(max_modulus_charpoly_route=exact_route,
+    (vals,), (scale,) = spectra.exact_spectra(params, "gamma", [vr])
+    return MotherEPReport(max_modulus_charpoly_route=float(np.abs(vals).max()),
                           modulus_tolerance=1e-6 * scale)
 
 

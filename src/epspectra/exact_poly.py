@@ -12,14 +12,15 @@ coefficient is -p_k; both are exposed because sign mistakes between the
 two forms are easy to make and painful to debug.
 
 The production route is the O(M^2) determinant continuant on a tridiagonal
-matrix (``charpoly_of_tridiagonal``); the model Hamiltonian is tridiagonal
-in the monomial basis for every perturbation power. The continuant clears
-denominators first: with D the lcm of the entries' denominators, D H has
-Gaussian-integer entries, so the recursion runs on (re, im) pairs of
-Python ints and divides by D^k once at the end. Its speed then does not
-depend on which ``Rational`` backend is installed. A ``CharPoly`` stores
-only the p_k; its traces s_k follow from them by Newton's identities. The
-Le Verrier-Faddeev trace recursion
+matrix; the model Hamiltonian is tridiagonal in the monomial basis for every
+perturbation power. One core (``_continuant``) computes it for D H, with D
+the lcm of the denominators, in Gaussian integers: Python ints, whatever
+the ``Rational`` backend. Two routes leave it: ``charpoly_of_tridiagonal``
+divides by D^k into exact ``ParamPoly`` coefficients, and ``monic_floats``
+into correctly rounded complex floats by one int true division each (the
+exact-route spectra of ``spectra``). A ``CharPoly`` stores only the p_k;
+its traces s_k follow by Newton's identities. The Le Verrier-Faddeev
+trace recursion
 
     p_k = -(1/k) * sum_{j=1..k} s_j p_{k-j},   s_k = tr(M^k),
 
@@ -48,6 +49,8 @@ __all__ = [
     "CharPoly",
     "faddeev_leverrier",
     "charpoly_of_tridiagonal",
+    "integer_tridiagonal",
+    "monic_floats",
     "verify_trace_structure",
     "TraceStructureReport",
 ]
@@ -135,7 +138,6 @@ class GaussianRational:
         return f"({self.re} {sign} {abs(self.im)}i)"
 
 
-GR_ZERO = GaussianRational()
 GR_ONE = GaussianRational(1)
 
 
@@ -252,21 +254,6 @@ class ParamPoly:
         a = min(self.coeffs)
         return a, self.coeffs[a]
 
-    def substitute(self, value) -> GaussianRational:
-        """Evaluate exactly at a rational (or GaussianRational) value."""
-        g = value if isinstance(value, GaussianRational) else GaussianRational(value)
-        acc = GR_ZERO
-        for e, c in self.coeffs.items():
-            acc = acc + (c * _power(g, e) if e else c)
-        return acc
-
-    def __complex__(self):
-        if not self.coeffs:
-            return 0j
-        if set(self.coeffs) != {0}:
-            raise ValueError("non-constant polynomial has no complex value")
-        return complex(self.coeffs[0])
-
     def render(self, symbol="c"):
         """Render as a sum of ``num/den * symbol^e`` terms, ascending in e."""
         if not self.coeffs:
@@ -325,10 +312,6 @@ class CharPoly:
         M = self.dim
         return [-self.paper_coeffs[M - j] for j in range(M + 1)]
 
-    def monic_at(self, value):
-        """Monic coefficients (ascending) as complex numbers at a parameter value."""
-        return [complex(p.substitute(value)) for p in self.monic_coefficients()]
-
     def traces(self):
         """s_k = tr(M^k) for k = 1..M (index 0 unused), by Newton's identities.
 
@@ -378,84 +361,114 @@ def faddeev_leverrier(matrix) -> CharPoly:
     return CharPoly(p, param=matrix.param or "c")
 
 
-def _add_product(acc: dict, p: dict, q: dict) -> None:
-    """acc += p * q for exponent -> (re, im) Gaussian-integer polynomials."""
-    for e1, (a, b) in p.items():
-        for e2, (c, d) in q.items():
-            e = e1 + e2
-            s = acc.get(e)
-            if s is None:
-                acc[e] = (a * c - b * d, a * d + b * c)
-            else:
-                acc[e] = (s[0] + a * c - b * d, s[1] + a * d + b * c)
+def _continuant(diag, offs):
+    """Coefficients of det(lambda I - A) for a tridiagonal A over Gaussian-integer polynomials.
+
+    ``diag[j]`` is A[j][j] and ``offs[j]`` the product A[j][j+1] A[j+1][j],
+    each a list over powers of the formal parameter of (re, im) int pairs.
+    Returns rows[e][i], the (re, im) coefficient of parameter^e lambda^i.
+    Each D_j = (lambda - a_j) D_{j-1} - b_{j-1} D_{j-2} is one Gaussian
+    integer, its value at lambda = 2^s and parameter = 2^(s (M+1))
+    (Kronecker substitution), and the base-2^s digits of D_M are its
+    coefficients. 2^(s-1) exceeds them all: so does the same continuant on
+    the entries' absolute sums at lambda = parameter = 1.
+    """
+    M = len(diag)
+    offs = [[]] + list(offs)
+    bound, prev = 1, 0
+    for a, b in zip(diag, offs):
+        bound, prev = (1 + sum(abs(x) + abs(y) for x, y in a)) * bound \
+            + sum(abs(x) + abs(y) for x, y in b) * prev, bound
+    s = -(-(bound.bit_length() + 1) // 8) * 8  # whole bytes, for the digits
+    shift = s * (M + 1)
+
+    def times(poly, x, y):  # poly times the packed x + i y
+        re = im = 0
+        for e, (p, q) in enumerate(poly):
+            re += (p * x - q * y) << shift * e
+            im += (p * y + q * x) << shift * e
+        return re, im
+
+    pr, pi, cr, ci = 0, 0, 1, 0
+    for a, b in zip(diag, offs):
+        (ar, ai), (br, bi) = times(a, cr, ci), times(b, pr, pi)
+        pr, pi, cr, ci = cr, ci, (cr << s) - ar - br, (ci << s) - ai - bi
+    n = max(abs(cr).bit_length(), abs(ci).bit_length()) // s + 1
+    n += -n % (M + 1)
+    re, im = _signed_digits(cr, s, n), _signed_digits(ci, s, n)
+    return [list(zip(re[q:q + M + 1], im[q:q + M + 1])) for q in range(0, n, M + 1)]
 
 
-def _nonzero(acc: dict) -> dict:
-    return {e: z for e, z in acc.items() if z[0] or z[1]}
+def _signed_digits(x: int, s: int, n: int) -> list:
+    """The n digits d_q of x = sum_q d_q 2^(s q), each |d_q| < 2^(s-1), lowest first.
+
+    With s a multiple of 8, each d_q + 2^(s-1) >= 0 is a slice of one byte string.
+    """
+    w, half = s // 8, 1 << (s - 1)
+    raw = (x + int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")).to_bytes(w * n, "little")
+    return [int.from_bytes(raw[i:i + w], "little") - half for i in range(0, w * n, w)]
 
 
-def _scaled_integers(poly: ParamPoly, scale: int) -> dict:
-    """scale * poly as exponent -> (re, im) ints; scale is a multiple of every denominator."""
-    return {
-        e: (int(g.re.numerator) * (scale // int(g.re.denominator)),
-            int(g.im.numerator) * (scale // int(g.im.denominator)))
-        for e, g in poly.coeffs.items()
-    }
+def _scaled_integers(poly: ParamPoly, scale: int) -> list:
+    """scale * poly, scale a multiple of every denominator, as (re, im) ints per parameter power."""
+    out = [(0, 0)] * (poly.degree + 1)
+    for e, g in poly.coeffs.items():
+        out[e] = (int(g.re.numerator) * (scale // int(g.re.denominator)),
+                  int(g.im.numerator) * (scale // int(g.im.denominator)))
+    return out
 
 
-def _divided(poly: dict, den: int) -> ParamPoly:
-    """The ParamPoly poly / den of a Gaussian-integer polynomial."""
-    p = ParamPoly.__new__(ParamPoly)
-    p.coeffs = {
-        e: GaussianRational(Rational(re, den), Rational(im, den))
-        for e, (re, im) in poly.items()
-    }
-    return p
+def integer_tridiagonal(matrix):
+    """(D, diag, offs) of an exact tridiagonal matrix H, as ``_continuant`` takes them.
+
+    D is the lcm of every real and imaginary denominator of the diagonal
+    a_j and the off-diagonal products b_j c_j of H, so that diag holds the
+    Gaussian integers D a_j and offs the D^2 b_j c_j: the entries of D H.
+    """
+    if getattr(matrix, "entry_kind", None) != "exact":
+        raise TypeError("the continuant requires an exact operator matrix")
+    if not matrix.is_tridiagonal():
+        raise ValueError("matrix is not tridiagonal")
+    E = matrix.entries
+    diag = [E[j][j] for j in range(matrix.dim)]
+    offs = [E[j - 1][j] * E[j][j - 1] for j in range(1, matrix.dim)]
+    D = 1
+    for poly in diag + offs:
+        for g in poly.coeffs.values():
+            D = math.lcm(D, int(g.re.denominator), int(g.im.denominator))
+    return D, [_scaled_integers(a, D) for a in diag], [_scaled_integers(b, D * D) for b in offs]
+
+
+def monic_floats(D: int, diag, offs) -> list:
+    """Monic coefficients (ascending) of a parameter-free H whose D H is (diag, offs).
+
+    The lambda^i coefficient of H is that of D H over D^(M-i): one int true
+    division per part, correctly rounded, so the bits of ``float`` of the
+    exact rational.
+    """
+    rows = _continuant(diag, offs)
+    if len(rows) > 1:
+        raise ValueError("the polynomial depends on the formal parameter")
+    M = len(diag)
+    return [complex(re / D ** (M - i), im / D ** (M - i)) for i, (re, im) in enumerate(rows[0])]
 
 
 def charpoly_of_tridiagonal(matrix) -> CharPoly:
     """Characteristic polynomial of an exact tridiagonal matrix.
 
-    Uses the determinant continuant D_j = (lambda - a_j) D_{j-1} -
-    b_{j-1} c_{j-1} D_{j-2}: O(M^2) parameter-polynomial products against
-    the O(M^4) of the trace recursion. The arithmetic is in Gaussian
-    integers: with D the lcm of every real and imaginary denominator of the
-    diagonal a_j and the off-diagonal products b_j c_j, the matrix A = D H
-    has diagonal D a_j and products D^2 b_j c_j, all Gaussian integers. The
-    continuant of A runs over polynomials in (lambda, parameter) whose
-    coefficients are (re, im) pairs of Python ints, and one division at the
-    end gives p_k(H) = p_k(A) / D^k. Faddeev-LeVerrier is its test oracle.
+    The determinant continuant (``_continuant``) of A = D H, with O(M^2)
+    coefficient products against the O(M^4) of the trace recursion, and
+    one division at the end: p_k(H) = p_k(A) / D^k. Faddeev-LeVerrier is
+    its test oracle.
     """
-    if getattr(matrix, "entry_kind", None) != "exact":
-        raise TypeError("charpoly_of_tridiagonal requires an exact operator matrix")
-    if not matrix.is_tridiagonal():
-        raise ValueError("matrix is not tridiagonal")
-    M = matrix.dim
-    E = matrix.entries
-    diag = [E[j][j] for j in range(M)]
-    offs = [E[j - 1][j] * E[j][j - 1] for j in range(1, M)]
-    D = 1
-    for poly in diag + offs:
-        for g in poly.coeffs.values():
-            D = math.lcm(D, int(g.re.denominator), int(g.im.denominator))
-    # negated entries of A, so that each continuant step only adds products
-    neg_a = [_scaled_integers(a, -D) for a in diag]
-    neg_off = [_scaled_integers(off, -D * D) for off in offs]
-    # d[i] is the lambda^i coefficient of D_j(lambda) = det(lambda I - A_j)
-    one = {0: (1, 0)}
-    d_prev = [one]
-    d_cur = [neg_a[0], one]
-    for j in range(1, M):
-        nxt = [{}] + [dict(coeff) for coeff in d_cur]  # lambda * D_{j-1}
-        for i, coeff in enumerate(d_cur):
-            _add_product(nxt[i], coeff, neg_a[j])
-        if neg_off[j - 1]:
-            for i, coeff in enumerate(d_prev):
-                _add_product(nxt[i], coeff, neg_off[j - 1])
-        d_prev, d_cur = d_cur, [_nonzero(acc) for acc in nxt]
-    # p_k = -(lambda^{M-k} coefficient)
-    p = [{e: (-re, -im) for e, (re, im) in d_cur[M - k].items()} for k in range(M + 1)]
-    return CharPoly([_divided(p[k], D**k) for k in range(M + 1)], param=matrix.param or "c")
+    D, diag, offs = integer_tridiagonal(matrix)
+    rows = _continuant(diag, offs)
+    M = len(diag)
+    p = [{e: row[M - k] for e, row in enumerate(rows) if row[M - k] != (0, 0)}
+         for k in range(M + 1)]  # p_k = -(lambda^{M-k} coefficient) / D^k
+    return CharPoly([ParamPoly({e: GaussianRational(Rational(-re, D**k), Rational(-im, D**k))
+                                for e, (re, im) in pk.items()}) for k, pk in enumerate(p)],
+                    param=matrix.param or "c")
 
 
 @dataclass

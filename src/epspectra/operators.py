@@ -20,6 +20,7 @@ the two orderings are related by the parity permutation and share spectra.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,7 @@ __all__ = [
     "build_ladder",
     "build_cartesian",
     "build_generalized_hamiltonian",
+    "monomial_tridiagonal",
     "build_rotated_hamiltonian",
     "parity_matrix",
 ]
@@ -173,21 +175,6 @@ class OperatorMatrix:
 
     def is_zero(self) -> bool:
         return not any(e for row in self.entries for e in row)
-
-    # -- conversions --------------------------------------------------------
-
-    def to_complex(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                p = self.entries[i][j]
-                if p:
-                    out[i, j] = complex(p)
-        return out
-
-    def max_abs(self) -> float:
-        arr = self.to_complex()
-        return float(np.abs(arr).max()) if arr.size else 0.0
 
     def is_tridiagonal(self) -> bool:
         return all(
@@ -378,26 +365,41 @@ def build_generalized_hamiltonian(params: ModelParams, basis: str = "orthonormal
         return HamiltonianFamily(params)
     if basis != "monomial":
         raise ValueError("basis must be 'orthonormal' or 'monomial'")
-    rep = params.rep
-    k = params.pert_power
-    gam = rat(params.gamma)
-    v = rat(params.v)
-    N = rep.particles
-    H = OperatorMatrix.exact_zeros(rep.dim, "c" if params.c is None else None)
-    for n, m in enumerate(rep.m_values()):
-        # 2 v L_x = v (L_+ + L_-): L_+ xi^n = (N - n) xi^{n+1}, L_- xi^n = n xi^{n-1}
-        if n < N:
-            H.entries[n + 1][n] = ParamPoly.const(GaussianRational(v * (N - n)))
-        if n > 0:
-            H.entries[n - 1][n] = ParamPoly.const(GaussianRational(v * n))
-        diag = ParamPoly.const(GaussianRational(0, -2 * gam * m))
-        pert_mag = GaussianRational(2 * m**k)
-        if params.c is None:
-            diag = diag + ParamPoly.monomial(1, pert_mag)
-        else:
-            diag = diag + ParamPoly.const(pert_mag.scale(rat(params.c)))
-        H.entries[n][n] = diag
+    D, diag, upper, lower = monomial_tridiagonal(
+        params.particles, params.gamma, params.v, params.c, params.pert_power)
+    H = OperatorMatrix.exact_zeros(params.particles + 1, "c" if params.c is None else None)
+    for n, entry in enumerate(diag):
+        H.entries[n][n] = ParamPoly({e: GaussianRational(Rational(re, D), Rational(im, D))
+                                     for e, (re, im) in enumerate(entry)})
+    for n, (up, low) in enumerate(zip(upper, lower)):
+        H.entries[n][n + 1] = ParamPoly.const(GaussianRational(Rational(up, D)))
+        H.entries[n + 1][n] = ParamPoly.const(GaussianRational(Rational(low, D)))
     return H
+
+
+def monomial_tridiagonal(particles, gamma, v, c, pert_power):
+    """The monomial-basis H's three diagonals, the one place that writes its entries.
+
+    Returns ints (D, diag, upper, lower): D H[n][n] has (re, im) coefficient
+    diag[n][e] of c^e (e = 0 only, unless c is None: formal), D H[n][n+1] =
+    upper[n] and D H[n+1][n] = lower[n]. With m = n - N/2, H[n][n] = -2i gamma m
+    + 2 c m^k, and 2 v L_x = v (L_+ + L_-) gives H[n+1][n] = v (N - n) and
+    H[n][n+1] = v (n + 1). D = lcm of the denominators of gamma, v, 2^(k-1) c.
+    """
+    N, k = particles, pert_power
+    gamma, v, fixed = rat(gamma), rat(v), rat(1 if c is None else c)
+    gn, gd, vn, vd, cn, cd = (int(x) for x in (
+        gamma.numerator, gamma.denominator, v.numerator, v.denominator,
+        fixed.numerator, fixed.denominator))
+    cd <<= k - 1
+    D = math.lcm(gd, vd, cd)
+    diag = []
+    for n in range(N + 1):
+        h = 2 * n - N  # 2 m: D 2 c m^k = D c h^k / 2^(k-1) and D (-2 gamma m) = -D gamma h
+        pert, rotation = h**k * (D // cd), -gn * h * (D // gd)
+        diag.append([(0, rotation), (pert, 0)] if c is None else [(cn * pert, rotation)])
+    tunneling = vn * (D // vd)
+    return D, diag, [tunneling * (n + 1) for n in range(N)], [tunneling * (N - n) for n in range(N)]
 
 
 def build_rotated_hamiltonian(params: ModelParams) -> OperatorMatrix:

@@ -2,8 +2,12 @@
 
 Two eigenvalue routes are kept deliberately independent:
 
-* dense LAPACK (Hessenberg + shifted QR) on the floating matrix, and
-* exact characteristic polynomial -> companion matrix -> Newton polish.
+* dense LAPACK (Hessenberg + shifted QR) on the floating matrix
+  (``stacked_spectra``), and
+* exact characteristic polynomial -> companion matrix -> Newton polish
+  (``exact_spectra``, ``exact_spectrum``): exact parameters, the
+  Gaussian-integer continuant of ``exact_poly``, correctly rounded monic
+  coefficients, and one stacked ``polynomial_roots`` for every point.
 
 The first is fast and backward stable; the second stays accurate even at
 strongly non-normal points (near higher-order degeneracies the dense solver
@@ -25,9 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import min_cost_assignment, polynomial_roots
-from .exact_poly import charpoly_of_tridiagonal
-from .operators import ModelParams, OperatorMatrix, build_generalized_hamiltonian
+from ._roots import _STACK_BYTES, min_cost_assignment, polynomial_roots
+from .exact_poly import integer_tridiagonal, monic_floats, rat
+from .operators import (ModelParams, OperatorMatrix, build_generalized_hamiltonian,
+                        monomial_tridiagonal)
 
 __all__ = [
     "SpectralError",
@@ -35,7 +40,7 @@ __all__ = [
     "Trajectory",
     "Classification",
     "eigenvalues",
-    "eigenvalues_from_charpoly",
+    "exact_spectra",
     "exact_spectrum",
     "analytic_c0_spectrum",
     "stacked_spectra",
@@ -53,11 +58,6 @@ class SpectralError(RuntimeError):
 
 class ClassificationError(RuntimeError):
     """Krein pairing violated: an unpaired non-real eigenvalue."""
-
-
-# Stacked eigensolves take at most this many bytes of complex matrices at a
-# time (half of it for a real PT form: the count of matrices is the same).
-_STACK_BYTES = 1 << 20
 
 
 def _sorted_eigs(vals: np.ndarray) -> np.ndarray:
@@ -89,26 +89,45 @@ def eigenvalues(matrix, context: str = "") -> np.ndarray:
     return _sorted_eigs(vals.astype(complex, copy=False))
 
 
-def eigenvalues_from_charpoly(charpoly, value) -> np.ndarray:
-    """Roots of the exact characteristic polynomial at a parameter value."""
-    coeffs = np.array(charpoly.monic_at(value))
-    return _sorted_eigs(polynomial_roots(coeffs))
-
-
 def exact_spectrum(matrix: OperatorMatrix) -> np.ndarray:
     """Eigenvalues of an exact tridiagonal matrix via its characteristic polynomial.
 
     The matrix must be parameter-free: one that still carries the formal
     parameter raises ValueError.
     """
-    if getattr(matrix, "entry_kind", None) != "exact":
-        raise TypeError("exact_spectrum needs an exact matrix")
-    if any(e for row in matrix.entries for p in row for e in p.coeffs):
+    D, diag, offs = integer_tridiagonal(matrix)
+    if any(len(p) > 1 for p in diag + offs):
         raise ValueError(
             f"matrix depends on the formal parameter {matrix.param or 'c'!r}; "
             "fix its value first"
         )
-    return eigenvalues_from_charpoly(charpoly_of_tridiagonal(matrix), 0)
+    return _sorted_eigs(polynomial_roots(monic_floats(D, diag, offs)))
+
+
+def exact_spectra(params: ModelParams, vary: str, values):
+    """Sorted eigenvalues and scale max(1, max|H|) of the exact H at each value of ``vary``.
+
+    ``stacked_spectra`` on the exact route, with the same bits as
+    ``exact_spectrum`` of each point's matrix: each value of ``vary``
+    ("gamma" or "c") taken exactly, with ``params`` fixing the other, gives
+    the monomial-basis diagonals, their continuant gives correctly rounded
+    monic coefficients, and one stacked ``polynomial_roots`` solves them.
+    """
+    if vary not in ("gamma", "c"):
+        raise ValueError("vary must be 'gamma' or 'c'")
+    rows, scales = [], []
+    for x in values:
+        gamma, c = (rat(x), params.c) if vary == "gamma" else (params.gamma, rat(x))
+        if c is None:
+            raise ValueError("exact spectra need a value of c")
+        D, diag, upper, lower = monomial_tridiagonal(
+            params.particles, gamma, params.v, c, params.pert_power)
+        rows.append(monic_floats(D, diag, [[(u * w, 0)] for u, w in zip(upper, lower)]))
+        entries = [complex(re / D, im / D) for (re, im), in diag] + [u / D for u in upper + lower]
+        scales.append(max(1.0, float(np.abs(np.array(entries)).max())))
+    if not rows:
+        return np.empty((0, params.particles + 1), dtype=complex), np.empty(0)
+    return _sorted_eigs(np.array(polynomial_roots(np.array(rows)))), np.array(scales)
 
 
 def analytic_c0_spectrum(params: ModelParams) -> np.ndarray:

@@ -1,6 +1,7 @@
 """CLI subcommands: formats, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import epspectra
+from epspectra import cli
 from epspectra.cli import main, parse_range
 from epspectra.operators import UsageError
 
@@ -434,3 +436,85 @@ class TestExitCodes:
         )
         assert code == 3
         assert "FAIL" in text
+
+    def test_exact_route_criteria_fail_at_zero_tolerance(self, tmp_path):
+        # the stacked exact route still leaves rounding residuals that a zero
+        # tolerance must catch, criterion by criterion
+        keys = ("c0-spectrum", "puiseux-scaling", "krein-symmetry")  # report order
+        code, text = run_cli(tmp_path, "verify", "--only", ",".join(keys), "--zero-tolerance")
+        assert code == 3
+        assert [line.split(":")[0] for line in text.splitlines()[:-1]] == [
+            f"FAIL {key}" for key in keys]
+
+
+class TestParserReuse:
+    def test_calls_match_fresh_parsers(self, capsys):
+        # valid, usage error, another subcommand, then the first again: the
+        # process-wide parser gives what a parser built for each call gives
+        runs = [
+            ["charpoly", "-N", "3", "--gamma", "1/2", "--c", "1/7"],
+            ["charpoly", "-N", "3"],
+            ["spectrum", "-N", "3", "--gamma", "0:1:3", "--format", "json"],
+            ["verify", "--only", "bogus"],
+            ["newton", "-N", "4", "--format", "json"],
+            ["charpoly", "-N", "3", "--gamma", "1/2", "--c", "1/7"],
+        ]
+
+        def outcomes():
+            out = []
+            for argv in runs:
+                code = main(argv)
+                out.append((code, capsys.readouterr()))
+                if fresh:
+                    cli._build_parser.cache_clear()
+            return out
+
+        fresh = False
+        cached = outcomes()
+        fresh = True
+        assert outcomes() == cached
+        assert [code for code, _ in cached] == [0, 1, 0, 1, 0, 0]
+        assert cached[0] == cached[-1]
+        assert cli._build_parser() is cli._build_parser()
+
+
+class TestSizeLimits:
+    """Oversized dense inputs exit 1 before anything is allocated."""
+
+    @pytest.fixture(autouse=True)
+    def no_allocation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid or a matrix was built")
+
+        monkeypatch.setattr(cli.RangeSpec, "grid", refuse)
+        for module, name in ((cli.spectra, "sweep"), (cli.spectra, "matched_sweep"),
+                             (cli.ep_locator, "ep_map")):
+            monkeypatch.setattr(module, name, refuse)
+
+    @staticmethod
+    def commands(particles, steps):
+        n = str(particles)
+        return [
+            ["spectrum", "-N", n, "--gamma", f"0:1:{steps}"],
+            ["trajectory", "-N", n, "--gamma", "1", "--c", f"0.001:1:{steps}"],
+            ["ep-map", "-N", n, "--c", f"0.001:1:{steps}"],
+        ]
+
+    def test_matrix_just_over_the_limit(self, capsys):
+        dim = math.isqrt(cli._MAX_MATRIX_ENTRIES) + 1  # (N+1)^2 just above the limit
+        for argv in self.commands(dim - 1, 2):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:") and str(cli._MAX_MATRIX_ENTRIES) in err
+
+    def test_grid_just_over_the_limit(self, capsys):
+        steps = cli._MAX_GRID_VALUES // 12 + 1  # N = 11: points x (N+1) just above
+        for argv in self.commands(11, steps):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:") and str(cli._MAX_GRID_VALUES) in err
+
+    def test_limits_are_far_above_the_benchmark_jobs(self):
+        # the largest dense jobs: N = 40 over 500 gamma points
+        assert 41 * 41 * 100 < cli._MAX_MATRIX_ENTRIES
+        assert 500 * 41 * 100 < cli._MAX_GRID_VALUES

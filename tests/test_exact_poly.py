@@ -122,13 +122,10 @@ class TestParamPoly:
         with pytest.raises(ValueError):
             ParamPoly().lowest_power()
 
-    def test_mul_and_substitute(self):
+    def test_mul(self):
         p = poly((0, 1), (1, 2))  # 1 + 2c
         q = poly((1, -1), (2, 3))  # -c + 3c^2
-        prod = p * q
-        assert prod == poly((1, -1), (2, 1), (3, 6))
-        val = prod.substitute(rat("1/2"))
-        assert val == gr("1/2")  # -1/2 + 1/4 + 6/8
+        assert p * q == poly((1, -1), (2, 1), (3, 6))
 
     def test_render(self):
         p = poly((1, 448), (3, gr("-4645/2")))
@@ -168,9 +165,9 @@ class TestFaddeevLeVerrier:
 
     def test_c_zero_gives_pure_power(self):
         cp = rotated_charpoly(7)
-        monic_at_zero = cp.monic_at(0)
-        assert monic_at_zero[-1] == 1
-        assert all(c == 0 for c in monic_at_zero[:-1])
+        monic = cp.monic_coefficients()
+        assert monic[-1] == poly((0, 1))
+        assert all(0 not in p.coeffs for p in monic[:-1])
 
     def test_rejects_float_matrices(self):
         H = build_generalized_hamiltonian(

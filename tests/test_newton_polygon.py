@@ -252,8 +252,9 @@ class TestNumericalAgreement:
     def test_eigenvalues_match_leading_order(self, N):
         cp = unfolding_charpoly(N)
         analysis = analyze_unfolding(cp)
-        for cval in (rat("1e-4") / N, rat("1e-5") / N):
-            ev = spectra.eigenvalues_from_charpoly(cp, cval)
+        cvals = (rat("1e-4") / N, rat("1e-5") / N)
+        rows, _ = spectra.exact_spectra(ModelParams(particles=N, gamma=1, v=1), "c", cvals)
+        for cval, ev in zip(cvals, rows):
             c = float(cval)
             predicted = np.array(
                 [b.e1 * c ** b.mu for b in analysis.branches]
@@ -269,9 +270,9 @@ class TestNumericalAgreement:
     def test_exponent_fit(self):
         # log-log regression of a triplet branch modulus against c
         N = 7
-        cp = unfolding_charpoly(N)
         cs = [Rational(1, 10**6) * 2**j for j in range(8)]
-        biggest = [float(np.abs(spectra.eigenvalues_from_charpoly(cp, c)).max()) for c in cs]
+        rows, _ = spectra.exact_spectra(ModelParams(particles=N, gamma=1, v=1), "c", cs)
+        biggest = np.abs(rows).max(axis=1)
         slope = np.polyfit(np.log([float(c) for c in cs]), np.log(biggest), 1)[0]
         assert abs(slope - 1.0 / 3.0) <= 0.02
 

@@ -110,13 +110,15 @@ class TestHamiltonian:
         assert np.array_equal(H, H.T)
 
     def test_basis_equivalence_charpolys(self):
-        from epspectra.exact_poly import charpoly_of_tridiagonal
+        from epspectra.exact_poly import charpoly_of_tridiagonal, integer_tridiagonal, monic_floats
 
         params_f = ModelParams(particles=7, gamma=0.3, v=1.0, c=0.07)
         params_e = ModelParams(particles=7, gamma=rat("0.3"), v=1, c=rat("0.07"))
         coeffs_float = np.poly(build_generalized_hamiltonian(params_f, "orthonormal").array)[::-1]
-        cp = charpoly_of_tridiagonal(build_generalized_hamiltonian(params_e, "monomial"))
-        coeffs_exact = np.array(cp.monic_at(0))
+        H = build_generalized_hamiltonian(params_e, "monomial")
+        coeffs_exact = np.array(monic_floats(*integer_tridiagonal(H)))
+        assert list(coeffs_exact) == [complex(p.coeffs.get(0, 0))
+                                      for p in charpoly_of_tridiagonal(H).monic_coefficients()]
         for a, b in zip(coeffs_float, coeffs_exact):
             assert abs(a - b) <= 1e-10 * max(1.0, abs(a), abs(b))
 
@@ -358,6 +360,6 @@ class TestMotherEPNilpotency:
 
     def test_n1_explicit(self):
         H = build_generalized_hamiltonian(ModelParams(particles=1, gamma=1, v=1, c=0), "monomial")
-        arr = H.to_complex()
+        arr = np.array([[complex(p.coeffs.get(0, 0)) for p in row] for row in H.entries])
         assert np.allclose(arr, [[1j, 1], [1, -1j]])
         assert np.allclose(arr @ arr, 0.0)

@@ -1,16 +1,17 @@
 """Eigenvalue routes, sweeps, branch matching, and Krein classification."""
 
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linear_sum_assignment
 
 from epspectra import _roots, ep_locator, spectra
-from epspectra._roots import min_cost_assignment
+from epspectra._roots import RootFindingError, min_cost_assignment, polynomial_roots
 from epspectra.exact_poly import Rational, charpoly_of_tridiagonal, rat
 from epspectra.operators import ModelParams, build_generalized_hamiltonian
 from epspectra.spectra import (
@@ -19,6 +20,7 @@ from epspectra.spectra import (
     analytic_c0_spectrum,
     classify,
     eigenvalues,
+    exact_spectra,
     exact_spectrum,
     match_branches,
     matched_sweep,
@@ -55,7 +57,7 @@ class TestEigenvalues:
 
     def test_formal_parameter_needs_a_value(self):
         # a matrix that still carries c has no spectrum until c is fixed;
-        # fixing it in the matrix or in the polynomial gives the same bits
+        # fixing it in the matrix or in exact_spectra gives the same bits
         H = build_generalized_hamiltonian(
             ModelParams(particles=3, gamma=1, v=1, c=None), "monomial")
         with pytest.raises(ValueError, match="formal parameter 'c'"):
@@ -63,7 +65,7 @@ class TestEigenvalues:
         fixed = build_generalized_hamiltonian(
             ModelParams(particles=3, gamma=1, v=1, c=rat("1/50")), "monomial")
         assert np.array_equal(
-            spectra.eigenvalues_from_charpoly(charpoly_of_tridiagonal(H), rat("1/50")),
+            exact_spectra(ModelParams(particles=3, gamma=1, v=1), "c", [rat("1/50")])[0][0],
             exact_spectrum(fixed))
 
     def test_backward_stability_contract(self):
@@ -149,6 +151,138 @@ class TestEigenvalues:
         assert np.array_equal(a, b)
         key = sorted(zip(a.real, a.imag))
         assert [complex(r, i) for r, i in key] == list(a)
+
+
+_coefficients = st.one_of(
+    st.just(0j), st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3))
+
+
+@st.composite
+def _coefficient_stacks(draw):
+    """Rows with exactly-zero low and high coefficients around a nonzero stretch."""
+    width = draw(st.integers(1, 9))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        low = draw(st.integers(0, width - 1))
+        high = draw(st.integers(low, width - 1))
+        row = [0j] * width
+        for i in range(low, high + 1):
+            row[i] = draw(_coefficients)
+        row[low], row[high] = row[low] or 1.0, row[high] or -2.5j
+        rows.append(row)
+    return np.array(rows, dtype=complex)
+
+
+def _one_row_reference(coeffs):
+    """The one-polynomial root finder that ``polynomial_roots`` replaced, kept as its oracle."""
+    c = np.asarray(coeffs, dtype=complex)
+    c = c[: np.flatnonzero(c)[-1] + 1]
+    low = np.flatnonzero(c)[0]
+    cc, m = c[low:], len(c) - 1 - low
+    if m == 0:
+        return np.zeros(low, dtype=complex)
+    comp = np.zeros((m, m), dtype=complex)
+    comp[np.arange(1, m), np.arange(m - 1)] = 1.0
+    comp[:, -1] = -cc[:-1] / cc[-1]
+    roots = np.linalg.eigvals(comp)
+    rev, drev = cc[::-1], (cc[1:] * np.arange(1, m + 1))[::-1]
+    for _ in range(_roots._POLISH_ITERATIONS):
+        val, der = np.polyval(rev, roots), np.polyval(drev, roots)
+        step = np.where(der != 0, val / np.where(der != 0, der, 1), 0)
+        roots = roots - step
+        if np.all(np.abs(step) <= _roots._REL_TOL * np.maximum(1.0, np.abs(roots))):
+            break
+    return np.concatenate([np.zeros(low, dtype=complex), roots])
+
+
+class TestStackedRoots:
+    """A stack of rows gives each row's roots with the bits of a one-row call."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_coefficient_stacks())
+    # a triple root polishes for many steps, a linear row (with high zeros)
+    # and a row with two zero roots for few: each row stops on its own test
+    @example(np.array([[-1, 3, -3, 1], [-2, 1, 0, 0], [0, 0, 1, 1], [5, 0, 0, 0]], dtype=complex))
+    def test_stack_matches_one_row_at_a_time(self, stack):
+        try:
+            stacked = polynomial_roots(stack)
+        except RootFindingError:
+            with pytest.raises(RootFindingError):
+                for row in stack:
+                    polynomial_roots(row)
+            return
+        assert len(stacked) == len(stack)
+        for row, roots in zip(stack, stacked):
+            one = polynomial_roots(row)
+            assert one.tobytes() == roots.tobytes() == _one_row_reference(row).tobytes()
+            top = np.flatnonzero(row)[-1]
+            assert len(roots) == top and np.count_nonzero(roots == 0) >= np.argmax(row != 0)
+
+    def test_blocks_give_the_same_bits(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        stack = rng.normal(size=(9, 6)) + 1j * rng.normal(size=(9, 6))
+        whole = polynomial_roots(stack)
+        monkeypatch.setattr(_roots, "_STACK_BYTES", 16 * 5 * 5 * 2)  # two companions a block
+        calls = []
+        monkeypatch.setattr(_roots.np.linalg, "eigvals",
+                            lambda a, f=np.linalg.eigvals: calls.append(len(a)) or f(a))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(whole, polynomial_roots(stack)))
+        assert calls == [2, 2, 2, 2, 1]
+
+
+_exact_numbers = st.fractions(min_value=-3, max_value=3, max_denominator=40).map(
+    lambda f: Rational(f.numerator, f.denominator))
+
+
+def _dense_oracle(params):
+    """Sorted roots, and max(1, max|H|), from the dense monomial H and its exact polynomial."""
+    H = build_generalized_hamiltonian(params, "monomial")
+
+    def to_float(g):
+        return complex(float(Fraction(int(g.re.numerator), int(g.re.denominator))),
+                       float(Fraction(int(g.im.numerator), int(g.im.denominator))))
+
+    row = [to_float(p.coeffs[0]) if p else 0j
+           for p in charpoly_of_tridiagonal(H).monic_coefficients()]
+    roots = polynomial_roots(np.array(row))
+    entries = np.abs([to_float(p.coeffs[0]) if p else 0j for r in H.entries for p in r])
+    return roots[np.lexsort((roots.imag, roots.real))], max(1.0, float(entries.max()))
+
+
+class TestExactSpectra:
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.integers(1, 14), k=st.integers(1, 4), gamma=_exact_numbers,
+           v=_exact_numbers.filter(bool), c=_exact_numbers, vary=st.sampled_from(["gamma", "c"]))
+    @example(N=11, k=2, gamma=Rational(0), v=Rational(-1), c=Rational(0), vary="gamma")
+    @example(N=14, k=4, gamma=Rational(-3), v=Rational(1, 3), c=Rational(-5, 7), vary="c")
+    def test_matches_dense_oracle(self, N, k, gamma, v, c, vary):
+        params = ModelParams(particles=N, gamma=gamma, v=v, c=c, pert_power=k)
+        expected, scale = _dense_oracle(params)
+        (got,), (got_scale,) = exact_spectra(
+            replace(params, **{vary: 99}), vary, [params.gamma if vary == "gamma" else c])
+        assert got.tobytes() == expected.tobytes() and got_scale == scale
+        H = build_generalized_hamiltonian(params, "monomial")
+        assert exact_spectrum(H).tobytes() == expected.tobytes()
+
+    def test_one_stacked_solve_for_all_points(self, monkeypatch):
+        params = ModelParams(particles=11, v=1, c=rat("1/110"))
+        gammas = [Rational(k, 37) for k in range(-20, 60)]
+        calls = []
+        monkeypatch.setattr(spectra, "polynomial_roots",
+                            lambda rows, f=polynomial_roots: calls.append(len(rows)) or f(rows))
+        rows, scales = exact_spectra(params, "gamma", gammas)
+        assert calls == [len(gammas)] and rows.shape == (len(gammas), 12)
+        for g, row, scale in zip(gammas, rows, scales):
+            (one,), (one_scale,) = exact_spectra(params, "gamma", [g])
+            assert one.tobytes() == row.tobytes() and one_scale == scale
+
+    def test_needs_a_value_of_c(self):
+        with pytest.raises(ValueError, match="value of c"):
+            exact_spectra(ModelParams(particles=3, c=None), "gamma", [1])
+        with pytest.raises(ValueError):
+            exact_spectra(ModelParams(particles=3), "v", [1])
+        rows, scales = exact_spectra(ModelParams(particles=3), "c", [])
+        assert rows.shape == (0, 4) and scales.shape == (0,)
 
 
 class TestAnalyticC0:
@@ -462,10 +596,8 @@ class TestKreinSymmetries:
             N = int(rng.integers(2, 11))
             g = rat(float(rng.uniform(0, 2)))
             c = rat(float(rng.uniform(0, 1.0 / N)))
-            H = build_generalized_hamiltonian(
-                ModelParams(particles=N, gamma=g, v=1, c=c), "monomial")
-            ev = exact_spectrum(H)
-            assert optimal_match_distance(ev, np.conj(ev)) <= 1e-9 * max(1.0, H.max_abs())
+            (ev,), (scale,) = exact_spectra(ModelParams(particles=N, v=1, c=c), "gamma", [g])
+            assert optimal_match_distance(ev, np.conj(ev)) <= 1e-9 * scale
 
     def test_gamma_sign_symmetry(self):
         H = build_generalized_hamiltonian(
@@ -476,10 +608,8 @@ class TestKreinSymmetries:
 
     def test_sign_closure_only_at_c_zero(self):
         N = 11
-        H0 = build_generalized_hamiltonian(
-            ModelParams(particles=N, gamma=rat("0.5"), v=1, c=0), "monomial")
-        ev0 = exact_spectrum(H0)
-        assert optimal_match_distance(ev0, -ev0) <= 1e-9 * max(1.0, H0.max_abs())
+        (ev0,), (scale,) = exact_spectra(ModelParams(particles=N, v=1, c=0), "gamma", [rat("0.5")])
+        assert optimal_match_distance(ev0, -ev0) <= 1e-9 * scale
         Hc = build_generalized_hamiltonian(
             ModelParams(particles=N, gamma=rat("0.5"), v=1, c=rat("0.5") / N), "monomial"
         )
