@@ -18,7 +18,7 @@ import numpy as np
 from . import spectra
 from ._roots import min_cost_assignment
 from .exact_poly import _continuant, rat
-from .operators import ModelParams, UsageError, build_generalized_hamiltonian, monomial_tridiagonal
+from .operators import ModelParams, UsageError, build_generalized_hamiltonian
 
 __all__ = [
     "EPRecord",
@@ -209,21 +209,27 @@ def ep_map(particles, v, c_grid, gamma_range=None, tol=1e-9) -> EPMap:
 
 @dataclass
 class MotherEPReport:
+    """The mother EP's eigenvalue moduli on the exact route, and their tolerance.
+
+    The tolerance is 1e-6 max|H| of the monomial-basis H (``exact_spectra``'s
+    scale), not of the orthonormal H the dense route scales by.
+    """
+
     max_modulus_charpoly_route: float
     modulus_tolerance: float
 
 
-def _jordan_structure(diag, offs):
-    """(H^M == 0, H^(M-1) != 0) for an M x M tridiagonal H, given as ``_continuant`` takes D H.
+def _jordan_structure(tri):
+    """(H^M == 0, H^(M-1) != 0) for an M x M ``ExactTridiagonal`` H.
 
     H^M == 0 exactly when the characteristic polynomial is lambda^M. With
     every off-diagonal product nonzero H is irreducible, so its minimal
     polynomial is lambda^M too and H^(M-1) != 0; a reducible nilpotent H
     gives False even where H^(M-1) != 0.
     """
-    monic = _continuant(diag, offs)
+    monic = _continuant(tri.diag, tri.offs)
     nilpotent = len(monic) == 1 and not any(re or im for re, im in monic[0][:-1])
-    return nilpotent, not nilpotent or all(any(re or im for re, im in b) for b in offs)
+    return nilpotent, not nilpotent or all(any(re or im for re, im in b) for b in tri.offs)
 
 
 def mother_ep_check(particles, v=1) -> MotherEPReport:
@@ -232,15 +238,15 @@ def mother_ep_check(particles, v=1) -> MotherEPReport:
     Exact check (authoritative, by _jordan_structure): the monomial-basis
     Hamiltonian satisfies H^(N+1) = 0 with H^N != 0, i.e. it is one full
     Jordan block. Floating check: all eigenvalue moduli vanish to
-    1e-6 * max|H|; the eigenvalues come from the exact characteristic
+    1e-6 * max|H|, with max|H| that of the monomial-basis H (see
+    ``MotherEPReport``); the eigenvalues come from the exact characteristic
     polynomial (identically lambda^(N+1) here, so its companion roots are
     exact zeros). The dense solver is not used: an (N+1)-fold root only
     admits accuracy ~ eps^(1/(N+1)) on that route.
     """
     vr = rat(v)
-    params = ModelParams(particles=particles, v=vr, c=0)
-    _, diag, upper, lower = monomial_tridiagonal(particles, vr, vr, 0, params.pert_power)
-    nilpotent, nonzero = _jordan_structure(diag, [[(u * w, 0)] for u, w in zip(upper, lower)])
+    params = ModelParams(particles=particles, gamma=vr, v=vr, c=0)
+    nilpotent, nonzero = _jordan_structure(build_generalized_hamiltonian(params, "monomial"))
     if not (nilpotent and nonzero):
         raise NilpotencyError(
             f"mother EP structure violated at N={particles}, v={v}: "

@@ -13,12 +13,13 @@ two forms are easy to make and painful to debug.
 
 The production route is the O(M^2) determinant continuant on a tridiagonal
 matrix; the model Hamiltonian is tridiagonal in the monomial basis for every
-perturbation power. One core (``_continuant``) computes it for D H, with D
-the lcm of the denominators, in Gaussian integers: Python ints, whatever
-the ``Rational`` backend. Two routes leave it: ``charpoly_of_tridiagonal``
-divides by D^k into exact ``ParamPoly`` coefficients, and ``monic_floats``
-into correctly rounded complex floats by one int true division each (the
-exact-route spectra of ``spectra``). A ``CharPoly`` stores only the p_k;
+perturbation power. An ``ExactTridiagonal`` holds such a matrix H as the
+Gaussian integers of D H, with D a common denominator: Python ints,
+whatever the ``Rational`` backend. One core (``_continuant``) takes them.
+Two routes leave it: ``charpoly_of_tridiagonal`` divides by D^k into exact
+``ParamPoly`` coefficients, and ``monic_floats`` into correctly rounded
+complex floats by one int true division each (the exact-route spectra of
+``spectra``). A ``CharPoly`` stores only the p_k;
 its traces s_k follow by Newton's identities. The Le Verrier-Faddeev
 trace recursion
 
@@ -31,7 +32,6 @@ coefficients) and as the test oracle for the continuant.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -48,8 +48,8 @@ __all__ = [
     "ParamPoly",
     "CharPoly",
     "faddeev_leverrier",
+    "ExactTridiagonal",
     "charpoly_of_tridiagonal",
-    "integer_tridiagonal",
     "monic_floats",
     "verify_trace_structure",
     "TraceStructureReport",
@@ -409,51 +409,45 @@ def _signed_digits(x: int, s: int, n: int) -> list:
     return [int.from_bytes(raw[i:i + w], "little") - half for i in range(0, w * n, w)]
 
 
-def _scaled_integers(poly: ParamPoly, scale: int) -> list:
-    """scale * poly, scale a multiple of every denominator, as (re, im) ints per parameter power."""
-    out = [(0, 0)] * (poly.degree + 1)
-    for e, g in poly.coeffs.items():
-        out[e] = (int(g.re.numerator) * (scale // int(g.re.denominator)),
-                  int(g.im.numerator) * (scale // int(g.im.denominator)))
-    return out
+@dataclass(frozen=True)
+class ExactTridiagonal:
+    """An exact tridiagonal matrix H, as the Gaussian integers of D H that ``_continuant`` takes.
 
-
-def integer_tridiagonal(matrix):
-    """(D, diag, offs) of an exact tridiagonal matrix H, as ``_continuant`` takes them.
-
-    D is the lcm of every real and imaginary denominator of the diagonal
-    a_j and the off-diagonal products b_j c_j of H, so that diag holds the
-    Gaussian integers D a_j and offs the D^2 b_j c_j: the entries of D H.
+    ``diag[j]`` holds the (re, im) int pairs of D H[j][j], one per power of
+    the formal parameter ``param`` (a single pair when H does not depend on
+    it), and ``offs[j]`` those of the off-diagonal product
+    D^2 H[j][j+1] H[j+1][j]. ``entry_kind`` marks exact entries, as on
+    ``operators.OperatorMatrix``.
     """
-    if getattr(matrix, "entry_kind", None) != "exact":
-        raise TypeError("the continuant requires an exact operator matrix")
-    if not matrix.is_tridiagonal():
-        raise ValueError("matrix is not tridiagonal")
-    E = matrix.entries
-    diag = [E[j][j] for j in range(matrix.dim)]
-    offs = [E[j - 1][j] * E[j][j - 1] for j in range(1, matrix.dim)]
-    D = 1
-    for poly in diag + offs:
-        for g in poly.coeffs.values():
-            D = math.lcm(D, int(g.re.denominator), int(g.im.denominator))
-    return D, [_scaled_integers(a, D) for a in diag], [_scaled_integers(b, D * D) for b in offs]
+
+    D: int
+    diag: list
+    offs: list
+    param: str = "c"
+
+    entry_kind = "exact"
+
+    @property
+    def dim(self) -> int:
+        return len(self.diag)
 
 
-def monic_floats(D: int, diag, offs) -> list:
-    """Monic coefficients (ascending) of a parameter-free H whose D H is (diag, offs).
+def monic_floats(tri: ExactTridiagonal) -> list:
+    """Monic coefficients (ascending) of a parameter-free H.
 
     The lambda^i coefficient of H is that of D H over D^(M-i): one int true
     division per part, correctly rounded, so the bits of ``float`` of the
     exact rational.
     """
-    rows = _continuant(diag, offs)
+    rows = _continuant(tri.diag, tri.offs)
     if len(rows) > 1:
-        raise ValueError("the polynomial depends on the formal parameter")
-    M = len(diag)
+        raise ValueError(f"H depends on the formal parameter {tri.param!r}: "
+                         f"give a value of {tri.param}")
+    M, D = tri.dim, tri.D
     return [complex(re / D ** (M - i), im / D ** (M - i)) for i, (re, im) in enumerate(rows[0])]
 
 
-def charpoly_of_tridiagonal(matrix) -> CharPoly:
+def charpoly_of_tridiagonal(tri: ExactTridiagonal) -> CharPoly:
     """Characteristic polynomial of an exact tridiagonal matrix.
 
     The determinant continuant (``_continuant``) of A = D H, with O(M^2)
@@ -461,14 +455,13 @@ def charpoly_of_tridiagonal(matrix) -> CharPoly:
     one division at the end: p_k(H) = p_k(A) / D^k. Faddeev-LeVerrier is
     its test oracle.
     """
-    D, diag, offs = integer_tridiagonal(matrix)
-    rows = _continuant(diag, offs)
-    M = len(diag)
+    rows = _continuant(tri.diag, tri.offs)
+    M, D = tri.dim, tri.D
     p = [{e: row[M - k] for e, row in enumerate(rows) if row[M - k] != (0, 0)}
          for k in range(M + 1)]  # p_k = -(lambda^{M-k} coefficient) / D^k
     return CharPoly([ParamPoly({e: GaussianRational(Rational(-re, D**k), Rational(-im, D**k))
                                 for e, (re, im) in pk.items()}) for k, pk in enumerate(p)],
-                    param=matrix.param or "c")
+                    param=tri.param)
 
 
 @dataclass

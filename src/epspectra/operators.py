@@ -11,7 +11,12 @@ an (N+1)-dimensional space. Two bases are provided:
   -xi^2 d/dxi + 2 l xi, L_- = d/dxi) whose ladder entries are integers, so
   exact rational arithmetic is possible. Characteristic polynomials agree
   between the bases (diagonal similarity), which is what routes all exact
-  work through the monomial basis.
+  work through the monomial basis. H is tridiagonal there, and its one
+  exact form is an ``ExactTridiagonal``: the Gaussian integers of its
+  three diagonals over one denominator. The ladder and Cartesian
+  operators are dense exact ``OperatorMatrix`` values, kept for the
+  paper's rotated construction (``build_rotated_hamiltonian``) and as an
+  oracle that composes H independently of its builder.
 
 Rows and columns are indexed by n = l + m ascending, i.e. n = 0 is m = -l.
 This mirrors the m-descending convention sometimes seen in the literature;
@@ -27,6 +32,7 @@ import numpy as np
 
 from .exact_poly import (
     GR_ONE,
+    ExactTridiagonal,
     GaussianRational,
     ParamPoly,
     Rational,
@@ -42,7 +48,6 @@ __all__ = [
     "build_ladder",
     "build_cartesian",
     "build_generalized_hamiltonian",
-    "monomial_tridiagonal",
     "build_rotated_hamiltonian",
     "parity_matrix",
 ]
@@ -80,7 +85,8 @@ class ModelParams:
     """Model parameters: H = -2i gamma L_z + 2 v L_x + 2 c L_z^pert_power.
 
     gamma, v, c may be floats or exact rationals; c may also be None, which
-    means "keep c as a formal parameter" (exact basis only).
+    means "keep c as a formal parameter": monomial basis only, where the
+    diagonal of the ``ExactTridiagonal`` H is then a polynomial in c.
     """
 
     particles: int
@@ -175,14 +181,6 @@ class OperatorMatrix:
 
     def is_zero(self) -> bool:
         return not any(e for row in self.entries for e in row)
-
-    def is_tridiagonal(self) -> bool:
-        return all(
-            not self.entries[i][j]
-            for i in range(self.dim)
-            for j in range(self.dim)
-            if abs(i - j) > 1
-        )
 
 
 # -- ladder and Cartesian operators -----------------------------------------
@@ -358,36 +356,19 @@ def build_generalized_hamiltonian(params: ModelParams, basis: str = "orthonormal
     """H = -2i gamma L_z + 2 v L_x + 2 c L_z^k for any k >= 1.
 
     The orthonormal basis gives the ``HamiltonianFamily`` at ``params``, so
-    a sweep over gamma or c builds once; the monomial basis gives an exact
-    OperatorMatrix.
+    a sweep over gamma or c builds once. The monomial basis gives the exact
+    H as an ``ExactTridiagonal``, the one place that writes its entries:
+    with m = n - N/2, H[n][n] = -2i gamma m + 2 c m^k (a polynomial in c
+    when c is None: formal), and 2 v L_x = v (L_+ + L_-) gives
+    H[n+1][n] = v (N - n) and H[n][n+1] = v (n + 1). D is the lcm of the
+    denominators of gamma, v and 2^(k-1) c.
     """
     if basis == "orthonormal":
         return HamiltonianFamily(params)
     if basis != "monomial":
         raise ValueError("basis must be 'orthonormal' or 'monomial'")
-    D, diag, upper, lower = monomial_tridiagonal(
-        params.particles, params.gamma, params.v, params.c, params.pert_power)
-    H = OperatorMatrix.exact_zeros(params.particles + 1, "c" if params.c is None else None)
-    for n, entry in enumerate(diag):
-        H.entries[n][n] = ParamPoly({e: GaussianRational(Rational(re, D), Rational(im, D))
-                                     for e, (re, im) in enumerate(entry)})
-    for n, (up, low) in enumerate(zip(upper, lower)):
-        H.entries[n][n + 1] = ParamPoly.const(GaussianRational(Rational(up, D)))
-        H.entries[n + 1][n] = ParamPoly.const(GaussianRational(Rational(low, D)))
-    return H
-
-
-def monomial_tridiagonal(particles, gamma, v, c, pert_power):
-    """The monomial-basis H's three diagonals, the one place that writes its entries.
-
-    Returns ints (D, diag, upper, lower): D H[n][n] has (re, im) coefficient
-    diag[n][e] of c^e (e = 0 only, unless c is None: formal), D H[n][n+1] =
-    upper[n] and D H[n+1][n] = lower[n]. With m = n - N/2, H[n][n] = -2i gamma m
-    + 2 c m^k, and 2 v L_x = v (L_+ + L_-) gives H[n+1][n] = v (N - n) and
-    H[n][n+1] = v (n + 1). D = lcm of the denominators of gamma, v, 2^(k-1) c.
-    """
-    N, k = particles, pert_power
-    gamma, v, fixed = rat(gamma), rat(v), rat(1 if c is None else c)
+    N, k, c = params.particles, params.pert_power, params.c
+    gamma, v, fixed = rat(params.gamma), rat(params.v), rat(1 if c is None else c)
     gn, gd, vn, vd, cn, cd = (int(x) for x in (
         gamma.numerator, gamma.denominator, v.numerator, v.denominator,
         fixed.numerator, fixed.denominator))
@@ -399,7 +380,7 @@ def monomial_tridiagonal(particles, gamma, v, c, pert_power):
         pert, rotation = h**k * (D // cd), -gn * h * (D // gd)
         diag.append([(0, rotation), (pert, 0)] if c is None else [(cn * pert, rotation)])
     tunneling = vn * (D // vd)
-    return D, diag, [tunneling * (n + 1) for n in range(N)], [tunneling * (N - n) for n in range(N)]
+    return ExactTridiagonal(D, diag, [[(tunneling**2 * (n + 1) * (N - n), 0)] for n in range(N)])
 
 
 def build_rotated_hamiltonian(params: ModelParams) -> OperatorMatrix:

@@ -25,14 +25,13 @@ the package's own optimal assignment, ``_roots.min_cost_assignment``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._roots import _STACK_BYTES, min_cost_assignment, polynomial_roots
-from .exact_poly import integer_tridiagonal, monic_floats, rat
-from .operators import (ModelParams, OperatorMatrix, build_generalized_hamiltonian,
-                        monomial_tridiagonal)
+from .exact_poly import ExactTridiagonal, monic_floats, rat
+from .operators import ModelParams, build_generalized_hamiltonian
 
 __all__ = [
     "SpectralError",
@@ -89,19 +88,13 @@ def eigenvalues(matrix, context: str = "") -> np.ndarray:
     return _sorted_eigs(vals.astype(complex, copy=False))
 
 
-def exact_spectrum(matrix: OperatorMatrix) -> np.ndarray:
+def exact_spectrum(tri: ExactTridiagonal) -> np.ndarray:
     """Eigenvalues of an exact tridiagonal matrix via its characteristic polynomial.
 
-    The matrix must be parameter-free: one that still carries the formal
-    parameter raises ValueError.
+    The matrix must be parameter-free: one whose polynomial still depends
+    on the formal parameter raises ValueError.
     """
-    D, diag, offs = integer_tridiagonal(matrix)
-    if any(len(p) > 1 for p in diag + offs):
-        raise ValueError(
-            f"matrix depends on the formal parameter {matrix.param or 'c'!r}; "
-            "fix its value first"
-        )
-    return _sorted_eigs(polynomial_roots(monic_floats(D, diag, offs)))
+    return _sorted_eigs(polynomial_roots(monic_floats(tri)))
 
 
 def exact_spectra(params: ModelParams, vary: str, values):
@@ -110,21 +103,26 @@ def exact_spectra(params: ModelParams, vary: str, values):
     ``stacked_spectra`` on the exact route, with the same bits as
     ``exact_spectrum`` of each point's matrix: each value of ``vary``
     ("gamma" or "c") taken exactly, with ``params`` fixing the other, gives
-    the monomial-basis diagonals, their continuant gives correctly rounded
-    monic coefficients, and one stacked ``polynomial_roots`` solves them.
+    the monomial-basis H (``build_generalized_hamiltonian``), its continuant
+    gives correctly rounded monic coefficients, and one stacked
+    ``polynomial_roots`` solves them.
+
+    The scale is max|H| of the monomial-basis H, whose tunneling entries
+    peak at |v| N. ``stacked_spectra`` scales by the orthonormal H, where
+    they peak at about |v| (N+1)/2 (at N = 11 and gamma <= 1/2 the scales
+    are 11 and 6), so a tolerance on this scale is not one on the dense
+    route's.
     """
     if vary not in ("gamma", "c"):
         raise ValueError("vary must be 'gamma' or 'c'")
+    v = rat(params.v)  # the largest off-diagonal |H| is |v| N, correctly rounded by int division
+    tunneling = abs(int(v.numerator)) * params.particles / int(v.denominator)
     rows, scales = [], []
     for x in values:
-        gamma, c = (rat(x), params.c) if vary == "gamma" else (params.gamma, rat(x))
-        if c is None:
-            raise ValueError("exact spectra need a value of c")
-        D, diag, upper, lower = monomial_tridiagonal(
-            params.particles, gamma, params.v, c, params.pert_power)
-        rows.append(monic_floats(D, diag, [[(u * w, 0)] for u, w in zip(upper, lower)]))
-        entries = [complex(re / D, im / D) for (re, im), in diag] + [u / D for u in upper + lower]
-        scales.append(max(1.0, float(np.abs(np.array(entries)).max())))
+        tri = build_generalized_hamiltonian(replace(params, **{vary: rat(x)}), "monomial")
+        rows.append(monic_floats(tri))
+        diag = [complex(re / tri.D, im / tri.D) for (re, im), in tri.diag]
+        scales.append(max(1.0, tunneling, float(np.abs(np.array(diag)).max())))
     if not rows:
         return np.empty((0, params.particles + 1), dtype=complex), np.empty(0)
     return _sorted_eigs(np.array(polynomial_roots(np.array(rows)))), np.array(scales)

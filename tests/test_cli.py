@@ -1,5 +1,6 @@
 """CLI subcommands: formats, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -518,3 +519,54 @@ class TestSizeLimits:
         # the largest dense jobs: N = 40 over 500 gamma points
         assert 41 * 41 * 100 < cli._MAX_MATRIX_ENTRIES
         assert 500 * 41 * 100 < cli._MAX_GRID_VALUES
+
+
+def _charpoly_jobs(N):
+    for k in (1, 2, 3):
+        for v in ("1", "3/2"):
+            for c in ([], ["--c", "1/50"]):
+                yield ["charpoly", "-N", str(N), "--gamma", "3/10", "--v", v,
+                       "--pert-power", str(k), *c]
+
+
+def _newton_jobs(N):
+    for k in ((1, 2) if N == 10 else range(1, N + 1)):
+        for v in ("1", "3/2"):
+            for fmt in ("text", "json"):
+                yield ["newton", "-N", str(N), "--pert-power", str(k), "--v", v, "--format", fmt]
+
+
+def _output_digest(tmp_path, jobs):
+    """sha256 over each job's command line and output text, in order."""
+    h = hashlib.sha256()
+    for argv in jobs:
+        code, text = run_cli(tmp_path, *argv)
+        assert code == 0, argv
+        h.update(f"$ {' '.join(argv)}\n{text}".encode())
+    return h.hexdigest()
+
+
+# sha256 of each group's jobs, recorded before the monomial builder stopped
+# filling a dense matrix; the exact layer must not change one output byte
+_DIGESTS = {
+    ('charpoly', 1): "fe58c56b106f2da95fae97a44416045162162dd18da2478d3cfc05c28c29e574",
+    ('charpoly', 2): "0e1e0efcd7929b4f09212fc75989176150feefd5fb0a2b496fdecb358fdb61f0",
+    ('charpoly', 3): "40d879702f59d10ad75b2753f8bb07d643164053f9d34d6acea1071b05c21d35",
+    ('charpoly', 4): "d3ef7082ea5e0d09177f6de950a00a27f0ca22508ad3c9e0db5931e3e11bb6a9",
+    ('charpoly', 5): "1cb5538fbc567dcb2fdf6f044c0738a8aa1b2186b75e22c930555d5ca4681e77",
+    ('charpoly', 6): "fc7147850d931c9925d1c7e61910e2131626e24c75c5a2142af5f7552a67f635",
+    ('charpoly', 7): "fd039b2823b31fa865d849935c53f1659e56746e431bdaab89682902c652c18a",
+    ('newton', 1): "50515765886c7f89f686fed568b79a03de52df7366f2893bf6b884621eb69937",
+    ('newton', 2): "8536c5cc2aa89aa69daf1f627805938bd835ad511292f621e88bc0c6b8179895",
+    ('newton', 3): "22a6329a930bb50eec8797cec60139a8c96ef6bdae64107d4c9a085ee01fd715",
+    ('newton', 4): "e31c33c8a5e3306ad185ce5e87703a50cfd09420b86cc4e2faa72ad071db5289",
+    ('newton', 5): "27d074fd48edb73902c4e484b5754c4fe8c204757a33b17ce086b6b93a902983",
+    ('newton', 6): "1d23fcc5af54e4b0f1097f17351a5d4f689b61047a5345e3b003cce42d3c40ab",
+    ('newton', 10): "66d86e3d055b9f6a4f4ba60126a6c28c424af07a558c6be1aa1f4496831c1206",
+}
+
+
+@pytest.mark.parametrize("command,N", list(_DIGESTS), ids=lambda x: str(x))
+def test_exact_outputs_are_byte_identical(tmp_path, command, N):
+    jobs = _charpoly_jobs(N) if command == "charpoly" else _newton_jobs(N)
+    assert _output_digest(tmp_path, jobs) == _DIGESTS[command, N]

@@ -16,7 +16,7 @@ from epspectra.ep_locator import (
     strong_coupling_predictions,
     strong_coupling_validation,
 )
-from epspectra.exact_poly import integer_tridiagonal, rat
+from epspectra.exact_poly import ExactTridiagonal, rat
 from epspectra.operators import (
     ModelParams,
     OperatorMatrix,
@@ -336,18 +336,21 @@ class TestMotherEP:
         assert report.max_modulus_charpoly_route <= report.modulus_tolerance
 
     @pytest.mark.parametrize("N", range(1, 9))
-    def test_jordan_structure_agrees_with_powers(self, N):
-        # the charpoly decision against H^(N+1) and H^N by exact matmul, at
-        # the mother EP and off it (gamma != v, with and without c)
+    def test_jordan_structure_agrees_with_powers(self, N, composed):
+        # the charpoly decision on the built H against H^(N+1) and H^N of the
+        # composed H by exact matmul, at the mother EP and off it (gamma != v,
+        # with and without c)
         for gamma, c in ((1, 0), (rat("1/2"), 0), (1, rat("1/7"))):
-            H = build_generalized_hamiltonian(ModelParams(particles=N, gamma=gamma, v=1, c=c),
-                                              "monomial")
+            params = ModelParams(particles=N, gamma=gamma, v=1, c=c)
+            H = composed(params)
             expected = (H.power(N + 1).is_zero(), not H.power(N).is_zero())
-            assert ep_locator._jordan_structure(*integer_tridiagonal(H)[1:]) == expected
+            tri = build_generalized_hamiltonian(params, "monomial")
+            assert ep_locator._jordan_structure(tri) == expected
             assert expected == ((True, True) if (gamma, c) == (1, 0) else (False, True))
         # reducible and nilpotent: the off-diagonal test says H^N != 0 is unproven
         zero = OperatorMatrix.exact_zeros(N + 1)
-        assert ep_locator._jordan_structure(*integer_tridiagonal(zero)[1:]) == (True, False) == (
+        tri = ExactTridiagonal(1, [[(0, 0)]] * (N + 1), [[(0, 0)]] * N)
+        assert ep_locator._jordan_structure(tri) == (True, False) == (
             zero.power(N + 1).is_zero(), not zero.power(N).is_zero())
 
 

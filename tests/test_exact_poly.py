@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import epspectra
 from epspectra import exact_poly
 from epspectra.exact_poly import (
+    ExactTridiagonal,
     GaussianRational,
     ParamPoly,
     Rational,
@@ -186,34 +187,29 @@ class TestFaddeevLeVerrier:
                 assert traces[k] == power.trace()
                 power = power.matmul(H)
 
-    def test_continuant_matches_faddeev(self):
+    def test_continuant_matches_faddeev(self, composed):
         rng = np.random.default_rng(11)
         for N in (2, 4, 7):
             g = rat(float(rng.uniform(0, 2)))
             c = rat(float(rng.uniform(0, 0.4)))
-            H = build_generalized_hamiltonian(
-                ModelParams(particles=N, gamma=g, v=1, c=c), "monomial")
-            a = faddeev_leverrier(H)
-            b = charpoly_of_tridiagonal(H)
+            params = ModelParams(particles=N, gamma=g, v=1, c=c)
+            a = faddeev_leverrier(composed(params))
+            b = charpoly_of_tridiagonal(build_generalized_hamiltonian(params, "monomial"))
             for k in range(N + 2):
                 assert a.paper_coeffs[k] == b.paper_coeffs[k]
 
     @pytest.mark.parametrize("c", [None, rat("2/7")])
-    def test_continuant_traces_are_matrix_power_traces(self, c):
+    def test_continuant_traces_are_matrix_power_traces(self, c, composed):
         # an oracle independent of both charpoly routes: tr(H^k) by exact
-        # matrix products
+        # matrix products of the composed H
         for N in range(1, 7):
-            H = build_generalized_hamiltonian(
-                ModelParams(particles=N, gamma=rat("3/5"), v=1, c=c), "monomial")
-            traces = charpoly_of_tridiagonal(H).traces()
+            params = ModelParams(particles=N, gamma=rat("3/5"), v=1, c=c)
+            H = composed(params)
+            tri = build_generalized_hamiltonian(params, "monomial")
+            traces = charpoly_of_tridiagonal(tri).traces()
             for k in range(1, 4):
                 if k <= N + 1:
                     assert traces[k] == H.power(k).trace()
-
-    def test_continuant_rejects_nontridiagonal(self):
-        H = build_rotated_hamiltonian(ModelParams(particles=4, gamma=1, v=1, c=None))
-        with pytest.raises(ValueError):
-            charpoly_of_tridiagonal(H)
 
 
 def assert_same_charpoly(a, b):
@@ -221,39 +217,44 @@ def assert_same_charpoly(a, b):
     assert a.paper_coeffs == b.paper_coeffs
 
 
-# Entries mix small denominators with the dyadic ones rat(float) produces
-# (as ``ep_locator._exact_count`` builds its matrices), in polynomials of
-# degree <= 2 in the formal parameter; an empty dict is a zero entry, so
-# zero off-diagonal products come up often.
-_rationals = st.one_of(
-    st.fractions(min_value=-5, max_value=5, max_denominator=12).map(
-        lambda f: Rational(f.numerator, f.denominator)
-    ),
-    st.integers(-5000, 5000).map(lambda i: rat(i / 1000)),
-)
-_entries = st.dictionaries(
-    st.integers(0, 2), st.builds(GaussianRational, _rationals, _rationals), max_size=3
-).map(ParamPoly)
+# General Gaussian-integer tridiagonals D H: polynomials of degree <= 2 in the
+# formal parameter, with small and large ints (as the dyadic rat(float) values
+# of ``ep_locator._exact_count`` give) over small and large D; an empty list
+# is a zero entry, so zero off-diagonal products come up often.
+_ints = st.one_of(st.integers(-50, 50), st.integers(-(1 << 70), 1 << 70))
+_entries = st.lists(st.tuples(_ints, _ints), max_size=3)
 
 
 @st.composite
-def _tridiagonal_matrices(draw):
+def _tridiagonals(draw):
     M = draw(st.integers(1, 7))
-    H = OperatorMatrix.exact_zeros(M, param="c")
-    for j in range(M):
-        H.entries[j][j] = draw(_entries)
-        if j:
-            H.entries[j - 1][j] = draw(_entries)
-            H.entries[j][j - 1] = draw(_entries)
+    D = draw(st.one_of(st.integers(1, 30), st.integers(1, 1 << 64)))
+    return ExactTridiagonal(D, draw(st.lists(_entries, min_size=M, max_size=M)),
+                            draw(st.lists(_entries, min_size=M - 1, max_size=M - 1)))
+
+
+def _dense(tri):
+    """The dense H of ``tri``: its diagonal, each product above it and ones below."""
+    H = OperatorMatrix.exact_zeros(tri.dim, param="c")
+
+    def poly(pairs, scale):
+        return ParamPoly({e: GaussianRational(Rational(re, scale), Rational(im, scale))
+                          for e, (re, im) in enumerate(pairs)})
+
+    for j, a in enumerate(tri.diag):
+        H.entries[j][j] = poly(a, tri.D)
+    for j, b in enumerate(tri.offs):
+        H.entries[j][j + 1] = poly(b, tri.D**2)
+        H.entries[j + 1][j] = ParamPoly.const(1)
     return H
 
 
 class TestContinuantProperty:
     @settings(max_examples=40, deadline=None)
-    @given(_tridiagonal_matrices())
-    @example(OperatorMatrix.exact_zeros(5, param="c"))
-    def test_matches_faddeev(self, H):
-        assert_same_charpoly(charpoly_of_tridiagonal(H), faddeev_leverrier(H))
+    @given(_tridiagonals())
+    @example(ExactTridiagonal(1, [[]] * 5, [[]] * 4))
+    def test_matches_faddeev(self, tri):
+        assert_same_charpoly(charpoly_of_tridiagonal(tri), faddeev_leverrier(_dense(tri)))
 
 
 class TestUnfoldingCharpoly:
@@ -339,10 +340,8 @@ class TestRealness:
         )
         assert _is_real(charpoly_of_tridiagonal(H))
 
-    def test_pt_symmetric_is_real_via_faddeev(self):
-        H = build_generalized_hamiltonian(
-            ModelParams(particles=6, gamma=rat("2/3"), v=1, c=rat("1/7")), "monomial"
-        )
+    def test_pt_symmetric_is_real_via_faddeev(self, composed):
+        H = composed(ModelParams(particles=6, gamma=rat("2/3"), v=1, c=rat("1/7")))
         assert _is_real(faddeev_leverrier(H))
 
     def test_complex_onsite_energy_breaks_realness(self):

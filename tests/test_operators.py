@@ -5,7 +5,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from epspectra.exact_poly import GaussianRational, ParamPoly, rat
+from epspectra.exact_poly import (
+    ExactTridiagonal,
+    GaussianRational,
+    ParamPoly,
+    Rational,
+    charpoly_of_tridiagonal,
+    faddeev_leverrier,
+    monic_floats,
+    rat,
+)
 from epspectra.operators import (
     AngularMomentumRep,
     HamiltonianFamily,
@@ -21,6 +30,12 @@ from epspectra.operators import (
 
 def gr(re, im=0):
     return GaussianRational(rat(re), rat(im))
+
+
+def as_poly(pairs, D):
+    """The ParamPoly of (re, im) int pairs over D, one per parameter power."""
+    return ParamPoly({e: GaussianRational(Rational(re, D), Rational(im, D))
+                      for e, (re, im) in enumerate(pairs)})
 
 
 class TestLadders:
@@ -85,7 +100,7 @@ class TestHamiltonian:
         # diagonal -2 i gamma m + 2 c m^2 with m ascending; off-diagonals
         # (sqrt5, 2 sqrt2, 3, 2 sqrt2, sqrt5) v. Ascending-n ordering mirrors
         # the printed m-descending matrix; spectra are unaffected.
-        H = build_generalized_hamiltonian(
+        tri = build_generalized_hamiltonian(
             ModelParams(particles=5, gamma=1, v=1, c=None), "monomial")
         imag_parts = [5, 3, 1, -1, -3, -5]
         c_parts = ["25/2", "9/2", "1/2", "1/2", "9/2", "25/2"]
@@ -93,7 +108,7 @@ class TestHamiltonian:
             expected = ParamPoly.const(gr(0, imag_parts[n])) + ParamPoly.monomial(
                 1, gr(c_parts[n])
             )
-            assert H.entries[n][n] == expected
+            assert as_poly(tri.diag[n], tri.D) == expected
         Hf = build_generalized_hamiltonian(
             ModelParams(particles=5, gamma=1.0, v=1.0, c=0.0), "orthonormal")
         off = np.diag(Hf.array, 1).real
@@ -110,51 +125,44 @@ class TestHamiltonian:
         assert np.array_equal(H, H.T)
 
     def test_basis_equivalence_charpolys(self):
-        from epspectra.exact_poly import charpoly_of_tridiagonal, integer_tridiagonal, monic_floats
-
         params_f = ModelParams(particles=7, gamma=0.3, v=1.0, c=0.07)
         params_e = ModelParams(particles=7, gamma=rat("0.3"), v=1, c=rat("0.07"))
         coeffs_float = np.poly(build_generalized_hamiltonian(params_f, "orthonormal").array)[::-1]
-        H = build_generalized_hamiltonian(params_e, "monomial")
-        coeffs_exact = np.array(monic_floats(*integer_tridiagonal(H)))
+        tri = build_generalized_hamiltonian(params_e, "monomial")
+        coeffs_exact = np.array(monic_floats(tri))
         assert list(coeffs_exact) == [complex(p.coeffs.get(0, 0))
-                                      for p in charpoly_of_tridiagonal(H).monic_coefficients()]
+                                      for p in charpoly_of_tridiagonal(tri).monic_coefficients()]
         for a, b in zip(coeffs_float, coeffs_exact):
             assert abs(a - b) <= 1e-10 * max(1.0, abs(a), abs(b))
 
-    def test_tridiagonal(self):
-        H = build_generalized_hamiltonian(
-            ModelParams(particles=8, gamma=1, v=1, c=None), "monomial")
-        assert H.is_tridiagonal()
-
     def test_monomial_denominators_are_powers_of_two(self):
         # entries derive from half-integers l, m: integer parameters leave
-        # only powers of 2 in the denominators
-        H = build_generalized_hamiltonian(
-            ModelParams(particles=7, gamma=3, v=2, c=None), "monomial")
-        for row in H.entries:
-            for entry in row:
-                for g in entry.coeffs.values():
-                    for den in (g.re.denominator, g.im.denominator):
-                        assert int(den) & (int(den) - 1) == 0  # power of two
+        # only a power of 2 as the common denominator
+        for c in (None, 5):
+            tri = build_generalized_hamiltonian(
+                ModelParams(particles=7, gamma=3, v=2, c=c), "monomial")
+            assert tri.D & (tri.D - 1) == 0
 
     @pytest.mark.parametrize("c", [None, rat(0), rat("1/50")])
     @pytest.mark.parametrize("v", [rat(1), rat("3/2"), rat("-2/7")])
-    def test_monomial_build_matches_ladder_composition(self, v, c):
-        # the diagonals filled directly equal 2v L_x from the ladders plus
-        # the -2i gamma L_z + 2 c L_z^k diagonal, entry by entry
+    def test_monomial_build_matches_ladder_composition(self, v, c, composed):
+        # the built diagonals against -2i gamma L_z + 2 v L_x + 2 c L_z^k
+        # composed from the Cartesian operators: the composition is zero off
+        # its three diagonals, equals the build entry by entry (off-diagonal
+        # products included), and has the same polynomial by Faddeev-LeVerrier
         gamma = rat("3/10")
         for N in range(1, 9):
             for k in (1, 2, 3):
                 params = ModelParams(particles=N, gamma=gamma, v=v, c=c, pert_power=k)
-                H = build_generalized_hamiltonian(params, "monomial")
-                ref = build_cartesian(params.rep, "x", "monomial").scale(GaussianRational(2 * v))
-                for n, m in enumerate(params.rep.m_values()):
-                    pert = (ParamPoly.monomial(1, gr(2 * m**k)) if c is None
-                            else ParamPoly.const(gr(2 * m**k * c)))
-                    ref.entries[n][n] = ParamPoly.const(gr(0, -2 * gamma * m)) + pert
-                assert H.entries == ref.entries
-                assert H.param == ("c" if c is None else None)
+                tri = build_generalized_hamiltonian(params, "monomial")
+                E = composed(params).entries
+                assert not any(E[i][j] for i in range(N + 1) for j in range(N + 1)
+                               if abs(i - j) > 1)
+                assert [as_poly(a, tri.D) for a in tri.diag] == [E[n][n] for n in range(N + 1)]
+                assert [as_poly(b, tri.D**2) for b in tri.offs] == [
+                    E[n][n + 1] * E[n + 1][n] for n in range(N)]
+                assert tri.param == "c" and tri.entry_kind == "exact"
+                assert charpoly_of_tridiagonal(tri) == faddeev_leverrier(composed(params))
 
     @pytest.mark.parametrize("v", [1.0, 1.5, -2 / 7])
     def test_orthonormal_build_matches_ladder_composition(self, v):
@@ -342,14 +350,13 @@ class TestParity:
 
 class TestMotherEPNilpotency:
     @pytest.mark.parametrize("N,v", [(1, 1), (5, 1), (5, 2), (9, 1)])
-    def test_full_jordan_block(self, N, v):
-        H = build_generalized_hamiltonian(ModelParams(particles=N, gamma=v, v=v, c=0), "monomial")
+    def test_full_jordan_block(self, N, v, composed):
+        H = composed(ModelParams(particles=N, gamma=v, v=v, c=0))
         assert not H.power(N).is_zero()
         assert H.power(N + 1).is_zero()
 
-    def test_power_is_repeated_matmul(self):
-        H = build_generalized_hamiltonian(
-            ModelParams(particles=4, gamma=rat("1/3"), v=1, c=rat("1/7")), "monomial")
+    def test_power_is_repeated_matmul(self, composed):
+        H = composed(ModelParams(particles=4, gamma=rat("1/3"), v=1, c=rat("1/7")))
         expected = H
         for k in range(1, 5):
             assert H.power(k).entries == expected.entries
@@ -358,8 +365,12 @@ class TestMotherEPNilpotency:
             with pytest.raises(ValueError):
                 H.power(k)
 
-    def test_n1_explicit(self):
-        H = build_generalized_hamiltonian(ModelParams(particles=1, gamma=1, v=1, c=0), "monomial")
-        arr = np.array([[complex(p.coeffs.get(0, 0)) for p in row] for row in H.entries])
+    def test_n1_explicit(self, composed):
+        params = ModelParams(particles=1, gamma=1, v=1, c=0)
+        # D = 2 (from 2^(k-1) c): diagonal 2i, -2i and off-diagonal product 4 over D^2
+        assert build_generalized_hamiltonian(params, "monomial") == ExactTridiagonal(
+            2, [[(0, 2)], [(0, -2)]], [[(4, 0)]])
+        arr = np.array([[complex(p.coeffs.get(0, 0)) for p in row]
+                        for row in composed(params).entries])
         assert np.allclose(arr, [[1j, 1], [1, -1j]])
         assert np.allclose(arr @ arr, 0.0)

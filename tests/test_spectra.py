@@ -12,7 +12,7 @@ from scipy.optimize import linear_sum_assignment
 
 from epspectra import _roots, ep_locator, spectra
 from epspectra._roots import RootFindingError, min_cost_assignment, polynomial_roots
-from epspectra.exact_poly import Rational, charpoly_of_tridiagonal, rat
+from epspectra.exact_poly import Rational, faddeev_leverrier, rat
 from epspectra.operators import ModelParams, build_generalized_hamiltonian
 from epspectra.spectra import (
     ClassificationError,
@@ -234,16 +234,15 @@ _exact_numbers = st.fractions(min_value=-3, max_value=3, max_denominator=40).map
     lambda f: Rational(f.numerator, f.denominator))
 
 
-def _dense_oracle(params):
-    """Sorted roots, and max(1, max|H|), from the dense monomial H and its exact polynomial."""
-    H = build_generalized_hamiltonian(params, "monomial")
+def _dense_oracle(H):
+    """Sorted roots, and max(1, max|H|), from a dense exact H and its Faddeev-LeVerrier polynomial."""
 
     def to_float(g):
         return complex(float(Fraction(int(g.re.numerator), int(g.re.denominator))),
                        float(Fraction(int(g.im.numerator), int(g.im.denominator))))
 
     row = [to_float(p.coeffs[0]) if p else 0j
-           for p in charpoly_of_tridiagonal(H).monic_coefficients()]
+           for p in faddeev_leverrier(H).monic_coefficients()]
     roots = polynomial_roots(np.array(row))
     entries = np.abs([to_float(p.coeffs[0]) if p else 0j for r in H.entries for p in r])
     return roots[np.lexsort((roots.imag, roots.real))], max(1.0, float(entries.max()))
@@ -255,9 +254,9 @@ class TestExactSpectra:
            v=_exact_numbers.filter(bool), c=_exact_numbers, vary=st.sampled_from(["gamma", "c"]))
     @example(N=11, k=2, gamma=Rational(0), v=Rational(-1), c=Rational(0), vary="gamma")
     @example(N=14, k=4, gamma=Rational(-3), v=Rational(1, 3), c=Rational(-5, 7), vary="c")
-    def test_matches_dense_oracle(self, N, k, gamma, v, c, vary):
+    def test_matches_dense_oracle(self, N, k, gamma, v, c, vary, composed):
         params = ModelParams(particles=N, gamma=gamma, v=v, c=c, pert_power=k)
-        expected, scale = _dense_oracle(params)
+        expected, scale = _dense_oracle(composed(params))
         (got,), (got_scale,) = exact_spectra(
             replace(params, **{vary: 99}), vary, [params.gamma if vary == "gamma" else c])
         assert got.tobytes() == expected.tobytes() and got_scale == scale
