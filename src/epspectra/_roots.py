@@ -10,10 +10,18 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["RootFindingError", "polynomial_roots", "min_cost_assignment"]
+__all__ = ["NumericalError", "RootFindingError", "polynomial_roots", "min_cost_assignment"]
 
 
-class RootFindingError(RuntimeError):
+class NumericalError(RuntimeError):
+    """Base of the errors the CLI reports as a numerical failure (exit 2).
+
+    It lives in the lowest layer, so that the CLI catches them all without
+    importing every module.
+    """
+
+
+class RootFindingError(NumericalError):
     """The roots of a polynomial could not be computed."""
 
 

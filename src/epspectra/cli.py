@@ -16,8 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import acceptance, ep_locator, newton_polygon, spectra
-from ._roots import RootFindingError
+# ep_locator, newton_polygon and acceptance load inside the subcommands that
+# use them, so that spectrum and trajectory do not pay for their import
+from . import spectra
+from ._roots import NumericalError
 from .exact_poly import charpoly_of_tridiagonal, rat
 from .operators import ModelParams, UsageError, build_generalized_hamiltonian
 
@@ -153,14 +155,30 @@ def _json_doc(obj) -> str:
 
 
 def _table(param_header, grid, rows, fmt) -> str:
-    """Point-major ``param,branch,re,im`` lines, comma-separated for csv, else spaces."""
+    """Point-major ``param,branch,re,im`` lines, comma-separated for csv, else spaces.
+
+    ``rows`` is the complex (points, branches) array. Each grid point's
+    lines come from one template, filled first with the point's value and
+    then with the re, im of every branch in turn: C-level ``%.17g``, the
+    same bytes as ``_fmt``.
+    """
     sep = "," if fmt == "csv" else " "
+    template = "\n".join(sep.join(("%(x)s", str(b), "%%.17g", "%%.17g"))
+                         for b in range(rows.shape[1]))
     # one string per grid point, so the rows' lines do not all live at once
     lines = [sep.join((param_header, "branch", "re", "im"))]
     for x, row in zip(grid, rows):
-        p = _fmt(x)
-        lines.append("\n".join(sep.join((p, str(b), _fmt(z.real), _fmt(z.imag)))
-                               for b, z in enumerate(row)))
+        lines.append(template % {"x": _fmt(x)} % tuple(row.view(float).tolist()))
+    return "\n".join(lines) + "\n"
+
+
+def _branch_table(trajectories) -> str:
+    """Branch-major ``c branch re im`` lines, one template per branch."""
+    lines = ["c branch re im"]
+    for t in trajectories:
+        line = f"%.17g {t.branch} %.17g %.17g"
+        lines.extend(line % (p, z.real, z.imag)
+                     for p, z in zip(t.parameters.tolist(), t.values.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -221,11 +239,7 @@ def cmd_trajectory(args) -> int:
         }
         text = _json_doc(doc)
     else:
-        lines = ["c branch re im"]
-        for t in trajectories:
-            for p, z in zip(t.parameters, t.values):
-                lines.append(f"{_fmt(p)} {t.branch} {_fmt(z.real)} {_fmt(z.imag)}")
-        text = "\n".join(lines) + "\n"
+        text = _branch_table(trajectories)
     _write(args.output, text)
     if unresolved:
         sys.stderr.write(f"note: {len(unresolved)} step(s) unresolved at refinement floor\n")
@@ -254,6 +268,8 @@ def cmd_charpoly(args) -> int:
 
 
 def cmd_newton(args) -> int:
+    from . import newton_polygon
+
     k = args.pert_power
     cp = newton_polygon.unfolding_charpoly(args.particles, k, _exact(args.v))
     analysis = newton_polygon.analyze_unfolding(cp)
@@ -325,6 +341,8 @@ def cmd_newton(args) -> int:
 
 
 def cmd_ep_map(args) -> int:
+    from . import ep_locator
+
     rng = parse_range(args.c)
     v = _float(args.v)
     gamma_range = None if args.gamma_max is None else (0.0, _float(args.gamma_max))
@@ -365,6 +383,8 @@ def cmd_ep_map(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import acceptance
+
     keys = args.only.split(",") if args.only else None
     tol_scale = 0.0 if args.zero_tolerance else 1.0
     buf = []
@@ -433,8 +453,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1
-    except (spectra.SpectralError, ep_locator.EPLocationError, RootFindingError,
-            spectra.ClassificationError) as exc:
+    except NumericalError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 2
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectra
-from ._roots import min_cost_assignment
+from ._roots import NumericalError, min_cost_assignment
 from .exact_poly import _continuant, rat
 from .operators import ModelParams, UsageError, build_generalized_hamiltonian
 
@@ -41,7 +41,7 @@ _MAX_SPLITS = 48
 _METHOD = "pair-count-bisection"
 
 
-class EPLocationError(RuntimeError):
+class EPLocationError(NumericalError):
     """A scan cell could not be resolved into single transitions."""
 
 
@@ -76,10 +76,17 @@ class StrongCouplingPrediction:
     gamma_inf: float = None
 
 
-def _exact_count(particles, gamma, v, c, tol):
+def _exact_counts(particles, v, c, gammas, tols) -> list:
+    """Pair counts on the exact route: one stacked ``exact_spectra`` call, then
+    ``classify`` of each row with its own ``imag_tol``."""
     params = ModelParams(particles=particles, v=rat(float(v)), c=rat(float(c)))
-    vals = spectra.exact_spectra(params, "gamma", [float(gamma)])[0][0]
-    return spectra.classify(vals, imag_tol=tol, pair_tol=float("inf")).conjugate_pair_count
+    rows = spectra.exact_spectra(params, "gamma", [float(g) for g in gammas])[0]
+    return [spectra.classify(row, imag_tol=tol, pair_tol=float("inf")).conjugate_pair_count
+            for row, tol in zip(rows, tols)]
+
+
+def _exact_count(particles, gamma, v, c, tol):
+    return _exact_counts(particles, v, c, [gamma], [tol])[0]
 
 
 def _pair_count_fn(particles, v, c):
@@ -93,15 +100,15 @@ def _pair_count_fn(particles, v, c):
     eigenvalues with Im > 1e-7 * scale, with scale = max(1, max|H|) of the
     complex H. There is no pairing to fail and no fallback. At c = 0 every
     breaking point sits at the order-(N+1) degeneracy where the dense route
-    is meaningless, so every count is exact (``_exact_count``) there.
+    is meaningless, so every count is exact there (``_exact_counts``: one
+    stacked exact solve per call, the same counts as point by point).
     """
     params = ModelParams(particles=particles, v=float(v), c=float(c))
     family = build_generalized_hamiltonian(params, "orthonormal")
 
     if float(c) == 0.0:
         def counts(gammas) -> list:
-            return [_exact_count(particles, g, v, c, 1e-7 * scale)
-                    for g, scale in zip(gammas, family.scales("gamma", gammas))]
+            return _exact_counts(particles, v, c, gammas, 1e-7 * family.scales("gamma", gammas))
         return counts
 
     def counts(gammas) -> list:

@@ -4,9 +4,9 @@ The N-particle two-mode system maps onto angular momentum l = N/2 acting on
 an (N+1)-dimensional space. Two bases are provided:
 
 * ``orthonormal``: the standard |l, m> basis with square-root ladder
-  entries; matrices are complex ndarrays and the Hamiltonian, a
-  ``HamiltonianFamily``, is complex symmetric there. For even k its
-  stacks are the real PT form of H, which the dense solver takes as real.
+  entries, where the Hamiltonian, a ``HamiltonianFamily`` of complex
+  ndarrays, is complex symmetric. For even k its stacks are the real PT
+  form of H, which the dense solver takes as real.
 * ``monomial``: the xi^n realization (L_z = xi d/dxi - l, L_+ =
   -xi^2 d/dxi + 2 l xi, L_- = d/dxi) whose ladder entries are integers, so
   exact rational arithmetic is possible. Characteristic polynomials agree
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact_poly import (
-    GR_ONE,
     ExactTridiagonal,
     GaussianRational,
     ParamPoly,
@@ -49,7 +48,6 @@ __all__ = [
     "build_cartesian",
     "build_generalized_hamiltonian",
     "build_rotated_hamiltonian",
-    "parity_matrix",
 ]
 
 
@@ -179,71 +177,39 @@ class OperatorMatrix:
             acc = acc + self.entries[i][i]
         return acc
 
-    def is_zero(self) -> bool:
-        return not any(e for row in self.entries for e in row)
-
 
 # -- ladder and Cartesian operators -----------------------------------------
 
 
-def build_ladder(rep: AngularMomentumRep, which: str, basis: str = "orthonormal"):
-    """L_+ or L_- in the requested basis.
-
-    Orthonormal: <l,m+-1| L_+- |l,m> = sqrt((l -+ m)(l +- m + 1)), irrational
-    in general, a complex ndarray. Monomial (exact OperatorMatrix): L_+ xi^n
-    = (2l-n) xi^{n+1} and L_- xi^n = n xi^{n-1}.
-    """
+def build_ladder(rep: AngularMomentumRep, which: str) -> OperatorMatrix:
+    """L_+ or L_- in the monomial basis: L_+ xi^n = (2l-n) xi^{n+1}, L_- xi^n = n xi^{n-1}."""
     if which not in ("plus", "minus"):
         raise ValueError("which must be 'plus' or 'minus'")
     N = rep.particles
-    dim = rep.dim
-    if basis == "orthonormal":
-        A = np.zeros((dim, dim), dtype=complex)
-        l = N / 2.0
-        for n in range(dim):
-            m = n - l
-            if which == "plus" and n + 1 < dim:
-                A[n + 1, n] = np.sqrt((l - m) * (l + m + 1))
-            if which == "minus" and n - 1 >= 0:
-                A[n - 1, n] = np.sqrt((l + m) * (l - m + 1))
-        return A
-    if basis == "monomial":
-        M = OperatorMatrix.exact_zeros(dim)
-        for n in range(dim):
-            if which == "plus" and n + 1 < dim:
-                M.entries[n + 1][n] = ParamPoly.const(GaussianRational(N - n))
-            if which == "minus" and n - 1 >= 0:
-                M.entries[n - 1][n] = ParamPoly.const(GaussianRational(n))
-        return M
-    raise ValueError("basis must be 'orthonormal' or 'monomial'")
+    M = OperatorMatrix.exact_zeros(rep.dim)
+    for n in range(rep.dim):
+        if which == "plus" and n + 1 < rep.dim:
+            M.entries[n + 1][n] = ParamPoly.const(GaussianRational(N - n))
+        if which == "minus" and n - 1 >= 0:
+            M.entries[n - 1][n] = ParamPoly.const(GaussianRational(n))
+    return M
 
 
-def build_cartesian(rep: AngularMomentumRep, axis: str, basis: str = "orthonormal"):
-    """L_x = (L_+ + L_-)/2, L_y = (L_+ - L_-)/(2i), L_z = diag(m)."""
+def build_cartesian(rep: AngularMomentumRep, axis: str) -> OperatorMatrix:
+    """Monomial-basis L_x = (L_+ + L_-)/2, L_y = (L_+ - L_-)/(2i), L_z = diag(m)."""
     if axis == "z":
-        if basis == "orthonormal":
-            m = np.arange(rep.dim) - rep.particles / 2.0
-            return np.diag(m.astype(complex))
         M = OperatorMatrix.exact_zeros(rep.dim)
         for n, m in enumerate(rep.m_values()):
             M.entries[n][n] = ParamPoly.const(GaussianRational(m))
         return M
-    lp = build_ladder(rep, "plus", basis)
-    lm = build_ladder(rep, "minus", basis)
-    if basis == "orthonormal":
-        if axis == "x":
-            return (lp + lm) / 2.0
-        if axis == "y":
-            return (lp - lm) / 2j
-    else:
-        half = GaussianRational(Rational(1, 2))
-        if axis == "x":
-            return lp.add(lm).scale(half)
-        if axis == "y":
-            # 1/(2i) = -i/2
-            return lp.add(lm.scale(GaussianRational(-1))).scale(
-                GaussianRational(0, Rational(-1, 2))
-            )
+    lp = build_ladder(rep, "plus")
+    lm = build_ladder(rep, "minus")
+    half = GaussianRational(Rational(1, 2))
+    if axis == "x":
+        return lp.add(lm).scale(half)
+    if axis == "y":
+        # 1/(2i) = -i/2
+        return lp.add(lm.scale(GaussianRational(-1))).scale(GaussianRational(0, Rational(-1, 2)))
     raise ValueError("axis must be 'x', 'y' or 'z'")
 
 
@@ -400,8 +366,8 @@ def build_rotated_hamiltonian(params: ModelParams) -> OperatorMatrix:
     rep = params.rep
     k = params.pert_power
     v = rat(params.v)
-    lm = build_ladder(rep, "minus", "monomial")
-    lp = build_ladder(rep, "plus", "monomial")
+    lm = build_ladder(rep, "minus")
+    lp = build_ladder(rep, "plus")
     diff = lp.add(lm.scale(GaussianRational(-1)))
     pert = diff.power(k)
     if k == 1:
@@ -418,18 +384,3 @@ def build_rotated_hamiltonian(params: ModelParams) -> OperatorMatrix:
     H = lm.scale(GaussianRational(2 * v)).add(pert.scale(coeff).shift_param(1))
     H.param = "Delta" if k == 1 else "c"
     return H
-
-
-def parity_matrix(dim: int, kind: str = "float"):
-    """The standard involutory permutation (anti-diagonal ones); P^2 = I.
-
-    A complex ndarray for ``kind="float"``, else an exact OperatorMatrix.
-    """
-    if kind == "float":
-        P = np.zeros((dim, dim), dtype=complex)
-        P[np.arange(dim), dim - 1 - np.arange(dim)] = 1.0
-        return P
-    M = OperatorMatrix.exact_zeros(dim)
-    for i in range(dim):
-        M.entries[i][dim - 1 - i] = ParamPoly.const(GR_ONE)
-    return M

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._roots import _STACK_BYTES, min_cost_assignment, polynomial_roots
+from ._roots import _STACK_BYTES, NumericalError, min_cost_assignment, polynomial_roots
 from .exact_poly import ExactTridiagonal, monic_floats, rat
 from .operators import ModelParams, build_generalized_hamiltonian
 
@@ -51,11 +51,11 @@ __all__ = [
 ]
 
 
-class SpectralError(RuntimeError):
+class SpectralError(NumericalError):
     """Eigensolver failure, carrying the offending parameters."""
 
 
-class ClassificationError(RuntimeError):
+class ClassificationError(NumericalError):
     """Krein pairing violated: an unpaired non-real eigenvalue."""
 
 

@@ -9,13 +9,13 @@ from epspectra.operators import build_cartesian
 def _composed_hamiltonian(params):
     """-2i gamma L_z + 2 v L_x + 2 c L_z^k as a dense exact ``OperatorMatrix``.
 
-    Built from ``build_cartesian(..., "monomial")`` and matrix algebra only,
+    Built from the monomial ``build_cartesian`` and matrix algebra only,
     so it is independent of the package's tridiagonal builder. With c None
     the c term is formal and the matrix's parameter is "c".
     """
     rep, k = params.rep, params.pert_power
-    lz = build_cartesian(rep, "z", "monomial")
-    lx = build_cartesian(rep, "x", "monomial")
+    lz = build_cartesian(rep, "z")
+    lx = build_cartesian(rep, "x")
     pert = lz.power(k).scale(GaussianRational(2))
     pert = pert.shift_param(1) if params.c is None else pert.scale(GaussianRational(rat(params.c)))
     H = lz.scale(GaussianRational(0, -2 * rat(params.gamma))).add(

@@ -4,15 +4,19 @@ import hashlib
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import epspectra
-from epspectra import cli
+from epspectra import cli, ep_locator, spectra
+from epspectra._roots import RootFindingError
 from epspectra.cli import main, parse_range
 from epspectra.operators import UsageError
 
@@ -21,6 +25,17 @@ def run_cli(tmp_path, *args, name="out.txt"):
     out = tmp_path / name
     code = main(list(args) + ["--output", str(out)])
     return code, out.read_text() if out.exists() else ""
+
+
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter on this package; its stdout lines."""
+    src = str(Path(epspectra.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip().split("\n")
 
 
 class TestRangeParsing:
@@ -109,6 +124,67 @@ class TestTextFormat:
         # CSV is point-major; a stable sort by branch gives the text order
         assert text_rows[1:] == sorted(csv_rows[1:], key=lambda row: int(row[1]))
         assert len(text_rows) == 1 + 4 * 7
+
+
+def _fmt_oracle(x):
+    return format(float(x), ".17g")
+
+
+def _table_oracle(param_header, grid, rows, fmt):
+    """The point-major table as it was rendered before templates: one ``format`` per float."""
+    sep = "," if fmt == "csv" else " "
+    lines = [sep.join((param_header, "branch", "re", "im"))]
+    for x, row in zip(grid, rows):
+        p = _fmt_oracle(x)
+        lines.extend(sep.join((p, str(b), _fmt_oracle(z.real), _fmt_oracle(z.imag)))
+                     for b, z in enumerate(row))
+    return "\n".join(lines) + "\n"
+
+
+def _branch_table_oracle(trajectories):
+    lines = ["c branch re im"]
+    for t in trajectories:
+        for p, z in zip(t.parameters, t.values):
+            lines.append(f"{_fmt_oracle(p)} {t.branch} {_fmt_oracle(z.real)} {_fmt_oracle(z.imag)}")
+    return "\n".join(lines) + "\n"
+
+
+_SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+            2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+            1e16, 1e17, 9007199254740993.0, 0.1, 1 / 3, 1e-5, 123456789012345680.0]
+# any float: hypothesis's own, the edge values above, and raw bit patterns
+# (every NaN payload, subnormals, both zeros)
+_FLOATS = st.one_of(
+    st.floats(), st.sampled_from(_SPECIAL),
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]))
+
+
+class TestRenderingIsByteIdentical:
+    """The templated tables against the per-value renderer they replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.sampled_from(["csv", "text"]))
+    def test_point_major_table(self, data, fmt):
+        width = data.draw(st.integers(1, 41))
+        points = data.draw(st.integers(1, 4))
+        grid = np.array(data.draw(st.lists(_FLOATS, min_size=points, max_size=points)))
+        flat = data.draw(st.lists(_FLOATS, min_size=2 * width * points,
+                                  max_size=2 * width * points))
+        rows = np.array(flat).reshape(points, 2 * width).view(complex)
+        assert cli._table("param", grid, rows, fmt) == _table_oracle("param", grid, rows, fmt)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_branch_major_text(self, data):
+        width = data.draw(st.integers(1, 41))
+        points = data.draw(st.integers(1, 4))
+        grid = np.array(data.draw(st.lists(_FLOATS, min_size=points, max_size=points)))
+        flat = data.draw(st.lists(_FLOATS, min_size=2 * width * points,
+                                  max_size=2 * width * points))
+        values = np.array(flat).reshape(width, 2 * points).view(complex)
+        trajectories = [spectra.Trajectory(branch=b, parameters=grid.copy(), values=row)
+                        for b, row in enumerate(values)]
+        assert cli._branch_table(trajectories) == _branch_table_oracle(trajectories)
 
 
 class TestTrajectoryCommand:
@@ -274,13 +350,28 @@ class TestEpMapCommand:
                 "assert main(['trajectory', '-N', '5', '--gamma', '1', "
                 "'--c', '0.0004:0.04:60:log']) == 0\n"
                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
-        src = str(Path(epspectra.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip().split("\n")[-1] == "[]"
+        assert run_fresh(code)[-1] == "[]"
+
+    def test_each_command_loads_only_its_modules(self):
+        # a fresh interpreter: the package root loads no submodule, spectrum
+        # and trajectory load none of the three modules below, and ep-map
+        # adds ep_locator alone
+        code = ("import os, sys\n"
+                "import epspectra\n"
+                "print(sorted(m for m in sys.modules if m.startswith('epspectra.')))\n"
+                "from epspectra.cli import main\n"
+                "heavy = ('epspectra.acceptance', 'epspectra.ep_locator', "
+                "'epspectra.newton_polygon')\n"
+                "out = ['--output', os.devnull]\n"
+                "assert main(['spectrum', '-N', '11', '--c', '0.01', "
+                "'--gamma', '0:1.5:20', *out]) == 0\n"
+                "for fmt in ('csv', 'text', 'json'):\n"
+                "    assert main(['trajectory', '-N', '5', '--gamma', '1', "
+                "'--c', '0.0004:0.04:20:log', '--format', fmt, *out]) == 0\n"
+                "print([m for m in heavy if m in sys.modules])\n"
+                "assert main(['ep-map', '-N', '3', '--c', '0.1:0.1:1', *out]) == 0\n"
+                "print([m for m in heavy if m in sys.modules])\n")
+        assert run_fresh(code) == ["[]", "[]", "['epspectra.ep_locator']"]
 
     def test_json_mirror(self, tmp_path):
         code, text = run_cli(
@@ -296,6 +387,21 @@ class TestEpMapCommand:
 class TestExitCodes:
     def test_usage_error_bad_range(self, tmp_path, capsys):
         assert main(["spectrum", "--particles", "3", "--gamma", "nope"]) == 1
+
+    @pytest.mark.parametrize("error", [spectra.SpectralError, spectra.ClassificationError,
+                                       RootFindingError, ep_locator.EPLocationError])
+    def test_every_numerical_error_exits_2(self, error, monkeypatch, capsys):
+        # main catches their shared base, whichever module raised them
+        def fail(*args, **kwargs):
+            raise error("no spectrum here")
+
+        monkeypatch.setattr(spectra, "sweep", fail)
+        monkeypatch.setattr(ep_locator, "ep_map", fail)
+        for argv in (["spectrum", "-N", "2", "--gamma", "0:1:2"],
+                     ["ep-map", "-N", "2", "--c", "0.1:0.1:1"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == "numerical failure: no spectrum here\n"
 
     def test_usage_error_missing_args(self):
         assert main(["spectrum"]) == 1
@@ -489,7 +595,7 @@ class TestSizeLimits:
 
         monkeypatch.setattr(cli.RangeSpec, "grid", refuse)
         for module, name in ((cli.spectra, "sweep"), (cli.spectra, "matched_sweep"),
-                             (cli.ep_locator, "ep_map")):
+                             (ep_locator, "ep_map")):
             monkeypatch.setattr(module, name, refuse)
 
     @staticmethod
@@ -570,3 +676,26 @@ _DIGESTS = {
 def test_exact_outputs_are_byte_identical(tmp_path, command, N):
     jobs = _charpoly_jobs(N) if command == "charpoly" else _newton_jobs(N)
     assert _output_digest(tmp_path, jobs) == _DIGESTS[command, N]
+
+
+_DENSE_JOBS = {
+    ("spectrum", 11): [["spectrum", "--particles", "11", "--v", "1", "--c", "0.00909090909",
+                        "--gamma", "0:1.5:500", "--format", fmt] for fmt in ("csv", "text")],
+    ("spectrum", 40): [["spectrum", "-N", "40", "--c", "0.0025", "--gamma", "0:1.5:50",
+                        "--format", fmt] for fmt in ("csv", "text")],
+    ("trajectory", 5): [["trajectory", "--particles", "5", "--gamma", "1",
+                         "--c", "0.0004:0.04:60:log", "--format", fmt]
+                        for fmt in ("csv", "text", "json")],
+}
+# sha256 of each group's jobs, recorded before the tables were rendered from
+# templates; the renderer must not change one output byte
+_DENSE_DIGESTS = {
+    ("spectrum", 11): "33e91f42fe8a5a60a6875c726e82e973e7d5c58cb973124c23142618446ea4f6",
+    ("spectrum", 40): "fb7949eab1c39f01203bae7f7c8f058e1c750df0da5e17aa2ae9c391163e1eb3",
+    ("trajectory", 5): "2ecd5cae11814c5742067b132550280bce883800ecd614ac5cba1bbea6a8e418",
+}
+
+
+@pytest.mark.parametrize("command,N", list(_DENSE_DIGESTS), ids=lambda x: str(x))
+def test_dense_outputs_are_byte_identical(tmp_path, command, N):
+    assert _output_digest(tmp_path, _DENSE_JOBS[command, N]) == _DENSE_DIGESTS[command, N]

@@ -23,6 +23,7 @@ from epspectra.operators import (
     UsageError,
     build_generalized_hamiltonian,
 )
+from oracles import is_zero
 
 
 def _count_at(gamma, particles, v, c):
@@ -49,14 +50,15 @@ class TestStackedScan:
 
     @staticmethod
     def _record_exact(monkeypatch):
+        # the gammas of every exact_spectra call, one list per call
         seen = []
-        original = ep_locator._exact_count
+        original = spectra.exact_spectra
 
-        def exact_count(particles, gamma, v, c, tol):
-            seen.append(gamma)
-            return original(particles, gamma, v, c, tol)
+        def exact_spectra(params, vary, values):
+            seen.append(list(values))
+            return original(params, vary, values)
 
-        monkeypatch.setattr(ep_locator, "_exact_count", exact_count)
+        monkeypatch.setattr(spectra, "exact_spectra", exact_spectra)
         return seen
 
     @pytest.mark.parametrize("c", [0.1 / 11, 0.0])
@@ -64,7 +66,8 @@ class TestStackedScan:
         seen = self._record_exact(monkeypatch)
         grid = np.linspace(0.0, 7.0, 512).tolist()
         stacked = ep_locator._pair_count_fn(11, 1.0, c)(grid)
-        assert len(seen) == (512 if c == 0.0 else 0)  # c = 0 counts exactly only
+        # c = 0 counts exactly only: one stacked exact solve per counter call
+        assert seen == ([grid] if c == 0.0 else [])
         assert stacked == [_count_at(g, 11, 1.0, c) for g in grid]
 
     def test_counter_is_the_vectorized_rule_on_a_stack(self, monkeypatch):
@@ -343,7 +346,7 @@ class TestMotherEP:
         for gamma, c in ((1, 0), (rat("1/2"), 0), (1, rat("1/7"))):
             params = ModelParams(particles=N, gamma=gamma, v=1, c=c)
             H = composed(params)
-            expected = (H.power(N + 1).is_zero(), not H.power(N).is_zero())
+            expected = (is_zero(H.power(N + 1)), not is_zero(H.power(N)))
             tri = build_generalized_hamiltonian(params, "monomial")
             assert ep_locator._jordan_structure(tri) == expected
             assert expected == ((True, True) if (gamma, c) == (1, 0) else (False, True))
@@ -351,7 +354,7 @@ class TestMotherEP:
         zero = OperatorMatrix.exact_zeros(N + 1)
         tri = ExactTridiagonal(1, [[(0, 0)]] * (N + 1), [[(0, 0)]] * N)
         assert ep_locator._jordan_structure(tri) == (True, False) == (
-            zero.power(N + 1).is_zero(), not zero.power(N).is_zero())
+            is_zero(zero.power(N + 1)), not is_zero(zero.power(N)))
 
 
 class TestSquareRootScaling:
