@@ -77,8 +77,11 @@ class StrongCouplingPrediction:
 
 
 def _exact_counts(particles, v, c, gammas, tols) -> list:
-    """Pair counts on the exact route: one stacked ``exact_spectra`` call, then
-    ``classify`` of each row with its own ``imag_tol``."""
+    """Exact-route pair counts at ``gammas``, each row classified with its ``tols`` entry.
+
+    One stacked ``exact_spectra`` call gives the same rows, hence the same
+    counts, as one call per gamma.
+    """
     params = ModelParams(particles=particles, v=rat(float(v)), c=rat(float(c)))
     rows = spectra.exact_spectra(params, "gamma", [float(g) for g in gammas])[0]
     return [spectra.classify(row, imag_tol=tol, pair_tol=float("inf")).conjugate_pair_count
