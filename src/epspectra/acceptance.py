@@ -17,11 +17,13 @@ from .exact_poly import (
     GaussianRational,
     ParamPoly,
     Rational,
+    charpoly_of_tridiagonal,
     faddeev_leverrier,
     rat,
     verify_trace_structure,
 )
-from .operators import ModelParams, UsageError, build_rotated_hamiltonian
+from .operators import (ModelParams, UsageError, build_generalized_hamiltonian,
+                        build_rotated_hamiltonian)
 
 __all__ = ["CriterionResult", "CRITERIA", "run", "main_report"]
 
@@ -82,7 +84,7 @@ def _expected_n5_monic():
 
 def criterion_n5_charpoly(tol_scale=1.0):
     """Faddeev-LeVerrier on the paper's rotated H~ gives the printed N=5 coefficients."""
-    H = build_rotated_hamiltonian(ModelParams(particles=5, gamma=1, v=1, c=None))
+    H = build_rotated_hamiltonian(ModelParams(particles=5, gamma=1, v=1))
     cp = faddeev_leverrier(H)
     got = cp.monic_coefficients()
     expected = _expected_n5_monic()
@@ -136,8 +138,9 @@ def criterion_newton_n10(tol_scale=1.0):
         return False, f"hull exponents {mus}"
     # The printed quadratic corresponds to the perturbation -c (L+-L-)^2,
     # the physical -c/2 (L+-L-)^2 at 2c; reproduce it in that normalization
-    # and tie the physical roots back by the exact factor 2.
-    cp2 = cp.rescaled(2)
+    # (c = 2t, formal t) and tie the physical roots back by the exact factor 2.
+    params = ModelParams(particles=10, gamma=1, v=1, c=ParamPoly.monomial(1, 2))
+    cp2 = charpoly_of_tridiagonal(build_generalized_hamiltonian(params, "monomial"))
     analysis2 = newton_polygon.analyze_unfolding(cp2)
     seg_lin = [s for s in analysis2.segments if s.mu == Rational(1)][0]
     red = newton_polygon.reduced_polynomial(seg_lin)

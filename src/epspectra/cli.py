@@ -20,7 +20,7 @@ import numpy as np
 # use them, so that spectrum and trajectory do not pay for their import
 from . import spectra
 from ._roots import NumericalError
-from .exact_poly import charpoly_of_tridiagonal, rat
+from .exact_poly import ParamPoly, charpoly_of_tridiagonal, rat
 from .operators import ModelParams, UsageError, build_generalized_hamiltonian
 
 __all__ = ["main"]
@@ -31,6 +31,18 @@ __all__ = ["main"]
 # complex matrix), and more than _MAX_GRID_VALUES eigenvalues, points x (N+1).
 _MAX_MATRIX_ENTRIES = 1 << 22
 _MAX_GRID_VALUES = 1 << 22
+# charpoly and newton refuse (usage error, before building H) more than
+# _MAX_EXACT_DIM rows, N + 1: the exact polynomial's cost grows steeply
+# with N (charpoly with c symbolic, 2 cores, Python 3.11.7, Fraction
+# backend: about 1.1 s and 82 MiB at N = 127, 7 s and 280 MiB at N = 200,
+# 71 s and 708 MiB at N = 300).
+_MAX_EXACT_DIM = 128
+
+
+def _check_exact_dim(particles: int):
+    if particles + 1 > _MAX_EXACT_DIM:
+        raise UsageError(f"N={particles} gives N+1 = {particles + 1} rows, "
+                         f"above the exact commands' limit of {_MAX_EXACT_DIM}")
 
 
 def _fmt(x: float) -> str:
@@ -247,9 +259,10 @@ def cmd_trajectory(args) -> int:
 
 
 def cmd_charpoly(args) -> int:
+    _check_exact_dim(args.particles)
     gamma = _exact(args.gamma)
     v = _exact(args.v)
-    c = None if args.c is None else _exact(args.c)
+    c = _exact(args.c) if args.c is not None else ParamPoly.monomial(1, 1)  # c formal
     params = ModelParams(
         particles=args.particles, gamma=gamma, v=v, c=c, pert_power=args.pert_power
     )
@@ -257,7 +270,7 @@ def cmd_charpoly(args) -> int:
     cp = charpoly_of_tridiagonal(build_generalized_hamiltonian(params, "monomial"))
     lines = [
         f"# characteristic polynomial, N={args.particles}, gamma={gamma}, v={v}, "
-        + ("c symbolic" if c is None else f"c={c}"),
+        + ("c symbolic" if isinstance(c, ParamPoly) else f"c={c}"),
         "# paper normalization: chi(lambda) = -sum_k p[M-k] lambda^k, p[0] = -1",
         *cp.render_paper(),
         "# monic normalization: det(lambda I - H), coefficient of each lambda power",
@@ -270,6 +283,7 @@ def cmd_charpoly(args) -> int:
 def cmd_newton(args) -> int:
     from . import newton_polygon
 
+    _check_exact_dim(args.particles)
     k = args.pert_power
     cp = newton_polygon.unfolding_charpoly(args.particles, k, _exact(args.v))
     analysis = newton_polygon.analyze_unfolding(cp)

@@ -16,21 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectra
-from ._roots import NumericalError, min_cost_assignment
+from ._roots import NumericalError
 from .exact_poly import _continuant, rat
 from .operators import ModelParams, UsageError, build_generalized_hamiltonian
 
 __all__ = [
     "EPRecord",
     "EPMap",
-    "StrongCouplingPrediction",
     "EPLocationError",
     "NilpotencyError",
     "locate_eps",
     "ep_map",
     "mother_ep_check",
-    "strong_coupling_predictions",
-    "strong_coupling_validation",
 ]
 
 
@@ -65,15 +62,6 @@ class EPMap:
 
     c_values: list
     records: list  # one list of EPRecord per c value
-
-
-@dataclass(frozen=True)
-class StrongCouplingPrediction:
-    """First-order strong-interaction level: E ~ 2 c m_z^2 + E1."""
-
-    m_z: float
-    e1: complex
-    gamma_inf: float = None
 
 
 def _exact_counts(particles, v, c, gammas, tols) -> list:
@@ -265,74 +253,3 @@ def mother_ep_check(particles, v=1) -> MotherEPReport:
     (vals,), (scale,) = spectra.exact_spectra(params, "gamma", [vr])
     return MotherEPReport(max_modulus_charpoly_route=float(np.abs(vals).max()),
                           modulus_tolerance=1e-6 * scale)
-
-
-def strong_coupling_predictions(particles, v, gamma) -> list:
-    """First-order corrections in the strong-interaction limit.
-
-    The unperturbed levels 2 c m_z^2 are doubly degenerate in +-m_z. For
-    |m_z| != 1/2 the degenerate perturbation matrix is diagonal and
-    E1 = -2 i gamma m_z (the m_z = 0 state of even N stays unperturbed).
-    For odd N the |m_z| = 1/2 pair mixes through the tunneling term:
-    E1 = +- sqrt(v^2 ((N+1)/2)^2 - gamma^2), giving two second-order EPs
-    with the asymptote gamma_inf = v (N+1)/2.
-    """
-    v = float(v)
-    gamma = float(gamma)
-    N = particles
-    out = []
-    for n in range(N + 1):
-        m_z = n - N / 2.0
-        if abs(abs(m_z) - 0.5) < 1e-12:
-            half_sum = v * (N + 1) / 2.0
-            disc = half_sum**2 - gamma**2
-            root = np.sqrt(disc) if disc >= 0 else 1j * np.sqrt(-disc)
-            # the +- assignment to the two mixed states is conventional
-            e1 = root if m_z > 0 else -root
-            out.append(StrongCouplingPrediction(m_z=m_z, e1=complex(e1), gamma_inf=half_sum))
-        else:
-            out.append(StrongCouplingPrediction(m_z=m_z, e1=complex(0, -2.0 * gamma * m_z)))
-    return out
-
-
-@dataclass
-class StrongCouplingReport:
-    levels: list  # (expected, actual, error, bound), ascending in expected
-
-    @property
-    def passed(self) -> bool:
-        return all(err <= bound for _, _, err, bound in self.levels)
-
-
-def strong_coupling_validation(particles, v, gamma, c) -> StrongCouplingReport:
-    """Compare the spectrum against E0 + E1 in the strong-coupling regime.
-
-    The per-level bound is 5 (v N / c) max(1, |expected|): the first
-    neglected order is quadratic in the small parameters over the 2c level
-    spacing. Exact agreement at v = 0 (H is then diagonal).
-    """
-    v, gamma, c = float(v), float(gamma), float(c)
-    if v == 0.0:
-        # H is diagonal at v = 0; built directly to sidestep the v != 0 guard
-        H = np.diag(
-            [
-                2.0 * c * (n - particles / 2.0) ** 2 - 2j * gamma * (n - particles / 2.0)
-                for n in range(particles + 1)
-            ]
-        )
-        actual = spectra.eigenvalues(H)
-    else:
-        params = ModelParams(particles=particles, gamma=gamma, v=v, c=c)
-        actual = spectra.eigenvalues(build_generalized_hamiltonian(params, "orthonormal").array)
-    predicted = np.array(
-        [2.0 * c * p.m_z**2 + p.e1 for p in strong_coupling_predictions(particles, v, gamma)]
-    )
-    cols = min_cost_assignment(np.abs(actual[:, None] - predicted[None, :]))
-    rel = 5.0 * (v * particles / c) if c else np.inf
-    levels = []
-    for i, j in enumerate(cols):
-        expected = predicted[j]
-        err = float(np.abs(actual[i] - expected))
-        bound = rel * max(1.0, abs(expected))
-        levels.append((complex(expected), complex(actual[i]), err, bound))
-    return StrongCouplingReport(sorted(levels, key=lambda t: (t[0].real, t[0].imag)))

@@ -72,6 +72,8 @@ def rat(value):
     1/10, not the nearest double), and floats (converted exactly, i.e. as
     the dyadic rational the float is).
     """
+    if type(value) is Rational:  # immutable: the value itself
+        return value
     if isinstance(value, str):
         if not _NUMBER.fullmatch(value):
             raise ValueError(f"Invalid literal for Fraction: {value!r}")
@@ -136,20 +138,6 @@ class GaussianRational:
             return f"{self.im}i"
         sign = "+" if self.im > 0 else "-"
         return f"({self.re} {sign} {abs(self.im)}i)"
-
-
-GR_ONE = GaussianRational(1)
-
-
-def _power(g: GaussianRational, n: int) -> GaussianRational:
-    """g**n for n >= 0 by binary powering."""
-    pw = GR_ONE
-    while n:
-        if n & 1:
-            pw = pw * g
-        g = g * g
-        n >>= 1
-    return pw
 
 
 class ParamPoly:
@@ -296,17 +284,6 @@ class CharPoly:
     def dim(self) -> int:
         return len(self.paper_coeffs) - 1
 
-    def rescaled(self, g, param=None) -> "CharPoly":
-        """The same polynomial in a new parameter t, where old parameter = g * t.
-
-        The t^e coefficient of every p_k is the old c^e coefficient times
-        g^e; ``param`` renames the parameter.
-        """
-        g = g if isinstance(g, GaussianRational) else GaussianRational(g)
-        p = [ParamPoly({e: c * _power(g, e) for e, c in q.coeffs.items()})
-             for q in self.paper_coeffs]
-        return CharPoly(p, param or self.param)
-
     def monic_coefficients(self):
         """Coefficients of det(lambda I - M), ascending in lambda power."""
         M = self.dim
@@ -416,8 +393,10 @@ class ExactTridiagonal:
     ``diag[j]`` holds the (re, im) int pairs of D H[j][j], one per power of
     the formal parameter ``param`` (a single pair when H does not depend on
     it), and ``offs[j]`` those of the off-diagonal product
-    D^2 H[j][j+1] H[j+1][j]. ``entry_kind`` marks exact entries, as on
-    ``operators.OperatorMatrix``.
+    D^2 H[j][j+1] H[j+1][j]. ``param`` names the parameter in rendered
+    polynomials; the builder leaves it "c", and a caller whose formal
+    parameter is another renames it (``dataclasses.replace``).
+    ``entry_kind`` marks exact entries, as on ``operators.OperatorMatrix``.
     """
 
     D: int

@@ -18,7 +18,7 @@ model's triplets are the k = 2 case of this law.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -179,8 +179,8 @@ def reduced_polynomial(segment: HullSegment) -> ParamPoly:
     return out
 
 
-# Reduced-polynomial coefficients with |log2| beyond this are rescaled
-# before they are converted to floats.
+# Reduced-polynomial coefficients with |log2| beyond this are scaled by an
+# exact power of two before they are converted to floats.
 _FLOAT_EXPONENT = 1000
 
 
@@ -305,11 +305,13 @@ def unfolding_charpoly(N: int, k: int = 2, v=1) -> CharPoly:
     formal, is tridiagonal in the monomial basis, so the continuant gives
     its polynomial; it equals that of the rotated Hessenberg form H~ (a
     similarity). For k = 1 the parameter is Delta = gamma - v instead:
-    -2i Delta L_z = 2c L_z at c = -i Delta.
+    gamma = v + Delta formal, at c = 0.
     """
-    params = ModelParams(particles=N, gamma=v, v=v, c=None, pert_power=k)
-    cp = charpoly_of_tridiagonal(build_generalized_hamiltonian(params, "monomial"))
-    return cp.rescaled(GaussianRational(0, -1), "Delta") if k == 1 else cp
+    t = ParamPoly.monomial(1, 1)
+    gamma, c = (ParamPoly.const(v) + t, 0) if k == 1 else (v, t)
+    params = ModelParams(particles=N, gamma=gamma, v=v, c=c, pert_power=k)
+    tri = build_generalized_hamiltonian(params, "monomial")
+    return charpoly_of_tridiagonal(replace(tri, param="Delta") if k == 1 else tri)
 
 
 @dataclass

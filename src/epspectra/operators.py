@@ -13,10 +13,10 @@ an (N+1)-dimensional space. Two bases are provided:
   between the bases (diagonal similarity), which is what routes all exact
   work through the monomial basis. H is tridiagonal there, and its one
   exact form is an ``ExactTridiagonal``: the Gaussian integers of its
-  three diagonals over one denominator. The ladder and Cartesian
-  operators are dense exact ``OperatorMatrix`` values, kept for the
-  paper's rotated construction (``build_rotated_hamiltonian``) and as an
-  oracle that composes H independently of its builder.
+  three diagonals over one denominator. The ladder operators are dense
+  exact ``OperatorMatrix`` values, kept for the paper's rotated
+  construction (``build_rotated_hamiltonian``); the tests compose H from
+  them, independently of its builder.
 
 Rows and columns are indexed by n = l + m ascending, i.e. n = 0 is m = -l.
 This mirrors the m-descending convention sometimes seen in the literature;
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -45,7 +46,6 @@ __all__ = [
     "HamiltonianFamily",
     "UsageError",
     "build_ladder",
-    "build_cartesian",
     "build_generalized_hamiltonian",
     "build_rotated_hamiltonian",
 ]
@@ -82,9 +82,11 @@ class AngularMomentumRep:
 class ModelParams:
     """Model parameters: H = -2i gamma L_z + 2 v L_x + 2 c L_z^pert_power.
 
-    gamma, v, c may be floats or exact rationals; c may also be None, which
-    means "keep c as a formal parameter": monomial basis only, where the
-    diagonal of the ``ExactTridiagonal`` H is then a polynomial in c.
+    gamma, v, c may be floats or exact rationals. gamma and c may also be
+    ``ParamPoly`` values in one formal parameter t, the same t when both
+    are: c = t is formal c, gamma = v + t the k = 1 parameter Delta. Those
+    build in the monomial basis only, as an ``ExactTridiagonal`` H whose
+    diagonal is a polynomial in t.
     """
 
     particles: int
@@ -178,7 +180,7 @@ class OperatorMatrix:
         return acc
 
 
-# -- ladder and Cartesian operators -----------------------------------------
+# -- ladder operators ---------------------------------------------------------
 
 
 def build_ladder(rep: AngularMomentumRep, which: str) -> OperatorMatrix:
@@ -193,24 +195,6 @@ def build_ladder(rep: AngularMomentumRep, which: str) -> OperatorMatrix:
         if which == "minus" and n - 1 >= 0:
             M.entries[n - 1][n] = ParamPoly.const(GaussianRational(n))
     return M
-
-
-def build_cartesian(rep: AngularMomentumRep, axis: str) -> OperatorMatrix:
-    """Monomial-basis L_x = (L_+ + L_-)/2, L_y = (L_+ - L_-)/(2i), L_z = diag(m)."""
-    if axis == "z":
-        M = OperatorMatrix.exact_zeros(rep.dim)
-        for n, m in enumerate(rep.m_values()):
-            M.entries[n][n] = ParamPoly.const(GaussianRational(m))
-        return M
-    lp = build_ladder(rep, "plus")
-    lm = build_ladder(rep, "minus")
-    half = GaussianRational(Rational(1, 2))
-    if axis == "x":
-        return lp.add(lm).scale(half)
-    if axis == "y":
-        # 1/(2i) = -i/2
-        return lp.add(lm.scale(GaussianRational(-1))).scale(GaussianRational(0, Rational(-1, 2)))
-    raise ValueError("axis must be 'x', 'y' or 'z'")
 
 
 # -- Hamiltonians -------------------------------------------------------------
@@ -237,8 +221,8 @@ class HamiltonianFamily:
     """
 
     def __init__(self, params: ModelParams):
-        if params.c is None:
-            raise UsageError("formal c requires the monomial (exact) basis")
+        if isinstance(params.gamma, ParamPoly) or isinstance(params.c, ParamPoly):
+            raise UsageError("a formal parameter requires the monomial (exact) basis")
         N = params.particles
         self.params = params
         self.dim = N + 1
@@ -318,35 +302,44 @@ class HamiltonianFamily:
         return float(np.abs(self.array).max())
 
 
+def _parts(x, shift: int) -> list:
+    """(re, im) per power of a number or ParamPoly, as (numerator, denominator << shift) ints."""
+    if isinstance(x, ParamPoly):
+        gs = (x.coeffs.get(e, GaussianRational()) for e in range(max(x.degree, 0) + 1))
+        return [tuple((int(q.numerator), int(q.denominator) << shift) for q in (g.re, g.im))
+                for g in gs]
+    x = rat(x)
+    return [((int(x.numerator), int(x.denominator) << shift), (0, 1))]
+
+
 def build_generalized_hamiltonian(params: ModelParams, basis: str = "orthonormal"):
     """H = -2i gamma L_z + 2 v L_x + 2 c L_z^k for any k >= 1.
 
     The orthonormal basis gives the ``HamiltonianFamily`` at ``params``, so
     a sweep over gamma or c builds once. The monomial basis gives the exact
-    H as an ``ExactTridiagonal``, the one place that writes its entries:
-    with m = n - N/2, H[n][n] = -2i gamma m + 2 c m^k (a polynomial in c
-    when c is None: formal), and 2 v L_x = v (L_+ + L_-) gives
-    H[n+1][n] = v (N - n) and H[n][n+1] = v (n + 1). D is the lcm of the
-    denominators of gamma, v and 2^(k-1) c.
+    H as an ``ExactTridiagonal``, the one place that writes its entries and
+    the one place that knows a parameter may be formal: with m = n - N/2,
+    H[n][n] = -2i gamma m + 2 c m^k, one (re, im) pair per power of the
+    formal parameter, and 2 v L_x = v (L_+ + L_-) gives H[n+1][n] =
+    v (N - n) and H[n][n+1] = v (n + 1). D is the lcm of the denominators
+    of v, of gamma's coefficients and of 2^(k-1) times c's.
     """
     if basis == "orthonormal":
         return HamiltonianFamily(params)
     if basis != "monomial":
         raise ValueError("basis must be 'orthonormal' or 'monomial'")
-    N, k, c = params.particles, params.pert_power, params.c
-    gamma, v, fixed = rat(params.gamma), rat(params.v), rat(1 if c is None else c)
-    gn, gd, vn, vd, cn, cd = (int(x) for x in (
-        gamma.numerator, gamma.denominator, v.numerator, v.denominator,
-        fixed.numerator, fixed.denominator))
-    cd <<= k - 1
-    D = math.lcm(gd, vd, cd)
-    diag = []
-    for n in range(N + 1):
-        h = 2 * n - N  # 2 m: D 2 c m^k = D c h^k / 2^(k-1) and D (-2 gamma m) = -D gamma h
-        pert, rotation = h**k * (D // cd), -gn * h * (D // gd)
-        diag.append([(0, rotation), (pert, 0)] if c is None else [(cn * pert, rotation)])
-    tunneling = vn * (D // vd)
-    return ExactTridiagonal(D, diag, [[(tunneling**2 * (n + 1) * (N - n), 0)] for n in range(N)])
+    N, k, v = params.particles, params.pert_power, rat(params.v)
+    gamma, c = _parts(params.gamma, 0), _parts(params.c, k - 1)
+    D = math.lcm(int(v.denominator), *[d for z in gamma + c for _, d in z])
+    # per power e of the parameter, with gamma_e = a + ib, c_e = x + iy and h = 2 m:
+    # D H[n][n] = D (-i gamma_e h + c_e h^k / 2^(k-1)), one column of (re, im) each
+    columns = []
+    for ((a, ad), (b, bd)), ((x, xd), (y, yd)) in zip_longest(gamma, c, fillvalue=((0, 1),) * 2):
+        a, b, x, y = a * (D // ad), b * (D // bd), x * (D // xd), y * (D // yd)
+        columns.append([(b * h + x * (hk := h**k), y * hk - a * h) for h in range(-N, N + 1, 2)])
+    t2 = (int(v.numerator) * (D // int(v.denominator))) ** 2
+    return ExactTridiagonal(D, list(map(list, zip(*columns))),
+                            [[(t2 * (n + 1) * (N - n), 0)] for n in range(N)])
 
 
 def build_rotated_hamiltonian(params: ModelParams) -> OperatorMatrix:

@@ -9,10 +9,13 @@ Two eigenvalue routes are kept deliberately independent:
   Gaussian-integer continuant of ``exact_poly``, correctly rounded monic
   coefficients, and one stacked ``polynomial_roots`` for every point.
 
-The first is fast and backward stable; the second stays accurate even at
-strongly non-normal points (near higher-order degeneracies the dense solver
-loses up to half the digits per Jordan order, while polynomial roots from
-exact coefficients do not). Each serves as the other's oracle in the tests.
+The first is fast and backward stable; the second starts from exact
+coefficients, so near higher-order degeneracies, where the dense solver
+loses up to half the digits per Jordan order, it usually keeps more. It is
+not exact: its companion roots were off by 8.7e-7 at N = 30, gamma = 0.5,
+c = 0.01 and by 7.3e-5 at N = 11, gamma = 1e-5, c = 7.3 (against 80-digit
+roots of the same polynomial), and no error radius is attached yet. Each
+route serves as the other's oracle in the tests.
 
 The dense route solves what ``HamiltonianFamily.stack`` gives: for even k
 the real PT form of H, by real LAPACK (dgeev), at half the cost of a
@@ -72,7 +75,8 @@ def eigenvalues(matrix, context: str = "") -> np.ndarray:
     matrix is solved as real (LAPACK dgeev), so every non-real eigenvalue
     comes with its exact conjugate; any other matrix is solved as complex.
     The result is complex either way. Exact matrices go through
-    ``exact_spectrum``, the accurate route at and near exceptional points.
+    ``exact_spectrum``, the route from exact coefficients (see the module
+    docstring for its measured errors near exceptional points).
     """
     arr = np.asarray(matrix)
     if arr.dtype != np.float64:
@@ -134,7 +138,7 @@ def analytic_c0_spectrum(params: ModelParams) -> np.ndarray:
     n runs over -N, -N+2, ..., N. The root is real for |gamma| <= |v| and
     positive imaginary beyond the breaking point.
     """
-    if params.c is None or float(params.c) != 0.0:
+    if params.c != 0:
         raise ValueError("analytic spectrum requires c = 0")
     g, v = float(params.gamma), float(params.v)
     disc = v * v - g * g

@@ -627,6 +627,40 @@ class TestSizeLimits:
         assert 500 * 41 * 100 < cli._MAX_GRID_VALUES
 
 
+class TestExactSizeLimit:
+    """charpoly and newton exit 1 past _MAX_EXACT_DIM rows, before H is built."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        from epspectra import newton_polygon
+
+        calls = []
+        for module in (cli, newton_polygon):
+            real = module.build_generalized_hamiltonian
+            monkeypatch.setattr(module, "build_generalized_hamiltonian",
+                                lambda *a, f=real, **kw: calls.append(a) or f(*a, **kw))
+        return calls
+
+    @staticmethod
+    def commands(particles):
+        n = str(particles)
+        return [["charpoly", "-N", n, "--gamma", "1"],
+                ["charpoly", "-N", n, "--gamma", "1", "--c", "1"],
+                ["newton", "-N", n], ["newton", "-N", n, "--pert-power", "1"]]
+
+    def test_refused_before_the_build(self, builds, capsys):
+        for argv in self.commands(cli._MAX_EXACT_DIM):
+            assert main(argv + ["--output", os.devnull]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:") and str(cli._MAX_EXACT_DIM) in err
+        assert builds == []
+
+    def test_small_inputs_reach_the_builder(self, builds):
+        for argv in self.commands(3):
+            assert main(argv + ["--output", os.devnull]) == 0
+        assert len(builds) == 4
+
+
 def _charpoly_jobs(N):
     for k in (1, 2, 3):
         for v in ("1", "3/2"):

@@ -13,8 +13,6 @@ from epspectra.ep_locator import (
     ep_map,
     locate_eps,
     mother_ep_check,
-    strong_coupling_predictions,
-    strong_coupling_validation,
 )
 from epspectra.exact_poly import ExactTridiagonal, rat
 from epspectra.operators import (
@@ -23,7 +21,7 @@ from epspectra.operators import (
     UsageError,
     build_generalized_hamiltonian,
 )
-from oracles import is_zero
+from oracles import is_zero, strong_coupling_predictions, strong_coupling_validation
 
 
 def _count_at(gamma, particles, v, c):

@@ -26,11 +26,11 @@ from epspectra.newton_polygon import analyze_unfolding, unfolding_charpoly
 from epspectra.operators import (
     ModelParams,
     OperatorMatrix,
-    build_cartesian,
     build_generalized_hamiltonian,
     build_ladder,
     build_rotated_hamiltonian,
 )
+from oracles import build_cartesian, rescaled
 
 
 def gr(re, im=0):
@@ -145,7 +145,7 @@ PAPER_N5_MONIC = {
 
 
 def rotated_charpoly(N, k=2, v=1):
-    params = ModelParams(particles=N, gamma=v, v=v, c=None, pert_power=k)
+    params = ModelParams(particles=N, gamma=v, v=v, pert_power=k)
     return faddeev_leverrier(build_rotated_hamiltonian(params))
 
 
@@ -180,7 +180,7 @@ class TestFaddeevLeVerrier:
         # the traces Newton's identities derive from Faddeev's p_k against
         # tr(H~^k) by exact matrix products
         for N in (3, 6, 9):
-            H = build_rotated_hamiltonian(ModelParams(particles=N, gamma=1, v=1, c=None))
+            H = build_rotated_hamiltonian(ModelParams(particles=N, gamma=1, v=1))
             traces = faddeev_leverrier(H).traces()
             power = H
             for k in range(1, N + 2):
@@ -201,7 +201,8 @@ class TestFaddeevLeVerrier:
     @pytest.mark.parametrize("c", [None, rat("2/7")])
     def test_continuant_traces_are_matrix_power_traces(self, c, composed):
         # an oracle independent of both charpoly routes: tr(H^k) by exact
-        # matrix products of the composed H
+        # matrix products of the composed H; None stands for formal c
+        c = ParamPoly.monomial(1, 1) if c is None else c
         for N in range(1, 7):
             params = ModelParams(particles=N, gamma=rat("3/5"), v=1, c=c)
             H = composed(params)
@@ -275,14 +276,18 @@ class TestUnfoldingCharpoly:
                 assert_same_charpoly(unfolding_charpoly(N, k, v), rotated_charpoly(N, k, v))
 
     def test_rescale_gives_the_doubled_perturbation(self):
-        # H~ with -c (L+-L-)^2 is the physical -c/2 (L+-L-)^2 at 2c
+        # H~ with -c (L+-L-)^2 is the physical -c/2 (L+-L-)^2 at 2c: the
+        # build at c = 2t, and the rescaled polynomial of formal c
         rep = ModelParams(particles=6).rep
         lp = build_ladder(rep, "plus")
         lm = build_ladder(rep, "minus")
         pert = lp.add(lm.scale(gr(-1))).power(2).scale(gr(-1)).shift_param(1)
         H = lm.scale(gr(2)).add(pert)
         H.param = "c"
-        assert_same_charpoly(unfolding_charpoly(6).rescaled(2), faddeev_leverrier(H))
+        doubled = ModelParams(particles=6, gamma=1, v=1, c=ParamPoly.monomial(1, 2))
+        cp = charpoly_of_tridiagonal(build_generalized_hamiltonian(doubled, "monomial"))
+        assert_same_charpoly(cp, faddeev_leverrier(H))
+        assert_same_charpoly(rescaled(unfolding_charpoly(6), 2), faddeev_leverrier(H))
 
 
 class TestTraceStructure:

@@ -36,8 +36,9 @@ def gr(re, im=0):
 
 def printed_n10_charpoly():
     # the perturbation -c (L+-L-)^2 of the printed N=10 quadratic is the
-    # physical -c/2 (L+-L-)^2 at 2c
-    return unfolding_charpoly(10).rescaled(2)
+    # physical -c/2 (L+-L-)^2 at 2c: the build at c = 2t
+    params = ModelParams(particles=10, gamma=1, v=1, c=ParamPoly.monomial(1, 2))
+    return charpoly_of_tridiagonal(build_generalized_hamiltonian(params, "monomial"))
 
 
 def point(k, a, f=1):

@@ -20,17 +20,22 @@ from epspectra.operators import (
     HamiltonianFamily,
     ModelParams,
     UsageError,
-    build_cartesian,
     build_generalized_hamiltonian,
     build_ladder,
     build_rotated_hamiltonian,
 )
+from epspectra.newton_polygon import unfolding_charpoly
+from epspectra.spectra import exact_spectra
 
 import oracles
+from oracles import build_cartesian
 
 
 def gr(re, im=0):
     return GaussianRational(rat(re), rat(im))
+
+
+T = ParamPoly.monomial(1, 1)  # the formal parameter
 
 
 def as_poly(pairs, D):
@@ -102,7 +107,7 @@ class TestHamiltonian:
         # (sqrt5, 2 sqrt2, 3, 2 sqrt2, sqrt5) v. Ascending-n ordering mirrors
         # the printed m-descending matrix; spectra are unaffected.
         tri = build_generalized_hamiltonian(
-            ModelParams(particles=5, gamma=1, v=1, c=None), "monomial")
+            ModelParams(particles=5, gamma=1, v=1, c=T), "monomial")
         imag_parts = [5, 3, 1, -1, -3, -5]
         c_parts = ["25/2", "9/2", "1/2", "1/2", "9/2", "25/2"]
         for n in range(6):
@@ -139,7 +144,7 @@ class TestHamiltonian:
     def test_monomial_denominators_are_powers_of_two(self):
         # entries derive from half-integers l, m: integer parameters leave
         # only a power of 2 as the common denominator
-        for c in (None, 5):
+        for c in (T, 5):
             tri = build_generalized_hamiltonian(
                 ModelParams(particles=7, gamma=3, v=2, c=c), "monomial")
             assert tri.D & (tri.D - 1) == 0
@@ -150,7 +155,9 @@ class TestHamiltonian:
         # the built diagonals against -2i gamma L_z + 2 v L_x + 2 c L_z^k
         # composed from the Cartesian operators: the composition is zero off
         # its three diagonals, equals the build entry by entry (off-diagonal
-        # products included), and has the same polynomial by Faddeev-LeVerrier
+        # products included), and has the same polynomial by Faddeev-LeVerrier;
+        # None stands for formal c
+        c = T if c is None else c
         gamma = rat("3/10")
         for N in range(1, 9):
             for k in (1, 2, 3):
@@ -196,8 +203,9 @@ class TestHamiltonian:
                     assert one.stack("gamma", [fixed])[0].tobytes() == one.array.tobytes()
 
     def test_family_needs_fixed_c_and_a_known_parameter(self):
-        with pytest.raises(UsageError):
-            HamiltonianFamily(ModelParams(particles=3, gamma=1, v=1, c=None))
+        for formal in (dict(c=T), dict(gamma=T), dict(gamma=ParamPoly.const(1) + T, c=T)):
+            with pytest.raises(UsageError, match="formal parameter"):
+                HamiltonianFamily(ModelParams(particles=3, **{"gamma": 1, "v": 1, **formal}))
         family = HamiltonianFamily(ModelParams(particles=3, gamma=1, v=1, c=0.1))
         with pytest.raises(ValueError):
             family.stack("v", [1.0])
@@ -206,7 +214,7 @@ class TestHamiltonian:
     def test_formal_c_requires_monomial(self):
         with pytest.raises(UsageError):
             build_generalized_hamiltonian(
-                ModelParams(particles=3, gamma=1, v=1, c=None), "orthonormal")
+                ModelParams(particles=3, gamma=1, v=1, c=T), "orthonormal")
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(UsageError):
@@ -215,6 +223,91 @@ class TestHamiltonian:
             ModelParams(particles=4, gamma=1, v=0, c=0)
         with pytest.raises(UsageError):
             AngularMomentumRep(0)
+
+
+def charpoly(**params):
+    """The continuant's polynomial of the monomial-basis H at ``params``."""
+    tri = build_generalized_hamiltonian(ModelParams(**params), "monomial")
+    return charpoly_of_tridiagonal(tri)
+
+
+def at(cp, x):
+    """The p_k of ``cp`` with its parameter set to the exact number x (Horner)."""
+    x = gr(x)
+    out = []
+    for p in cp.paper_coeffs:
+        acc = gr(0)
+        for e in range(p.degree, -1, -1):
+            acc = acc * x + p.coeffs.get(e, gr(0))
+        out.append(acc)
+    return out
+
+
+class TestFormalParameters:
+    """gamma and c as ``ParamPoly`` values of the one builder."""
+
+    VALUES = [rat(0), rat("3/5"), rat("-7/4"), rat(5)]
+
+    @pytest.mark.parametrize("v", [rat(1), rat("3/2")])
+    def test_substituting_a_value_gives_its_build(self, v):
+        # formal gamma, formal c and the curve gamma = v + t, c = t^2, each
+        # at exact values, against the builds at those values
+        gamma, c = rat("3/5"), rat("2/7")
+        for N in range(1, 7):
+            for k in (1, 2, 3):
+                fixed = dict(particles=N, v=v, pert_power=k)
+                formal_gamma = charpoly(gamma=T, c=c, **fixed)
+                formal_c = charpoly(gamma=gamma, c=T, **fixed)
+                curve = charpoly(gamma=ParamPoly.const(v) + T, c=T * T, **fixed)
+                for x in self.VALUES:
+                    assert at(formal_gamma, x) == at(charpoly(gamma=x, c=c, **fixed), 0)
+                    assert at(formal_c, x) == at(charpoly(gamma=gamma, c=x, **fixed), 0)
+                    assert at(curve, x) == at(charpoly(gamma=v + x, c=x * x, **fixed), 0)
+
+    def test_p_of_lambda_and_gamma_at_strong_coupling(self):
+        # N = 11, c = 73/10: 49 terms, even in gamma, and the fixed-gamma builds
+        c = rat("73/10")
+        cp = charpoly(particles=11, gamma=T, v=1, c=c)
+        assert sum(len(p.coeffs) for p in cp.paper_coeffs) == 49
+        assert all(e % 2 == 0 for p in cp.paper_coeffs for e in p.coeffs)
+        for gamma in (rat(0), rat("1/100000"), rat("5/2")):
+            assert at(cp, gamma) == at(charpoly(particles=11, gamma=gamma, v=1, c=c), 0)
+
+    def test_complex_coefficients_match_the_composition(self, composed):
+        # Gaussian-rational coefficients in both parameters, against the
+        # composed H entry by entry and by Faddeev-LeVerrier
+        gamma = ParamPoly.const(gr(1, "2/3")) + ParamPoly.monomial(1, gr("1/2", -1))
+        c = ParamPoly.const(gr(0, 3)) + ParamPoly.monomial(2, gr("2/7", "-1/5"))
+        for N in range(1, 6):
+            for k in (1, 2, 3):
+                params = ModelParams(particles=N, gamma=gamma, v=rat("3/2"), c=c, pert_power=k)
+                tri = build_generalized_hamiltonian(params, "monomial")
+                E = composed(params).entries
+                assert [as_poly(a, tri.D) for a in tri.diag] == [E[n][n] for n in range(N + 1)]
+                assert charpoly_of_tridiagonal(tri) == faddeev_leverrier(composed(params))
+
+    def test_denominator_covers_every_coefficient(self):
+        # lcm of v's denominator, gamma's and 2^(k-1) times c's: 7, 3 and 4 * 5
+        gamma = ParamPoly.const(rat(1)) + ParamPoly.monomial(1, gr("1/3"))
+        tri = build_generalized_hamiltonian(ModelParams(
+            particles=4, gamma=gamma, v=rat("1/7"), c=ParamPoly.monomial(2, gr("1/5")),
+            pert_power=3), "monomial")
+        assert tri.D == 420 and all(len(a) == 3 for a in tri.diag)
+
+    @pytest.mark.parametrize("v", [rat(1), rat("3/2")])
+    def test_delta_is_formal_c_rescaled(self, v):
+        # k = 1: gamma = v + Delta at c = 0 is formal c at gamma = v with c = -i Delta
+        for N in range(1, 7):
+            cp = charpoly(particles=N, gamma=v, v=v, c=T, pert_power=1)
+            assert unfolding_charpoly(N, 1, v) == oracles.rescaled(cp, gr(0, -1), "Delta")
+
+    def test_formal_parameter_has_no_spectrum(self):
+        for params, vary in ((ModelParams(particles=3, gamma=T), "c"),
+                             (ModelParams(particles=3, c=T), "gamma")):
+            with pytest.raises(ValueError, match="formal parameter"):
+                exact_spectra(params, vary, [rat("1/2")])
+            with pytest.raises(ValueError, match="formal parameter"):
+                monic_floats(build_generalized_hamiltonian(params, "monomial"))
 
 
 class TestRealPTForm:
@@ -277,7 +370,7 @@ class TestRealPTForm:
 class TestRotatedHamiltonian:
     def test_k2_expansion(self):
         # 2 v L- - (c/2)(L+^2 - L0 + L-^2) with L0 = L+L- + L-L+
-        params = ModelParams(particles=6, gamma=1, v=1, c=None)
+        params = ModelParams(particles=6, gamma=1, v=1)
         H = build_rotated_hamiltonian(params)
         rep = params.rep
         lp = build_ladder(rep, "plus")
@@ -289,7 +382,7 @@ class TestRotatedHamiltonian:
         assert oracles.is_zero(diff)
 
     def test_k2_band_structure(self):
-        H = build_rotated_hamiltonian(ModelParams(particles=8, gamma=1, v=1, c=None))
+        H = build_rotated_hamiltonian(ModelParams(particles=8, gamma=1, v=1))
         offsets = {
             i - j for i in range(H.dim) for j in range(H.dim) if H.entries[i][j]
         }
@@ -297,7 +390,7 @@ class TestRotatedHamiltonian:
         assert max(offsets) == 2  # upper 3-Hessenberg: nothing below the 2nd subdiagonal
 
     def test_k1_delta_model(self):
-        params = ModelParams(particles=5, gamma=1, v=1, c=None, pert_power=1)
+        params = ModelParams(particles=5, gamma=1, v=1, pert_power=1)
         H = build_rotated_hamiltonian(params)
         assert H.param == "Delta"
         rep = params.rep
@@ -320,7 +413,7 @@ class TestRotatedHamiltonian:
         assert offsets <= {d for d in range(-k, k + 1) if (d - k) % 2 == 0}
 
     def test_large_k_allowed(self):
-        H = build_rotated_hamiltonian(ModelParams(particles=3, gamma=1, v=1, c=None, pert_power=5))
+        H = build_rotated_hamiltonian(ModelParams(particles=3, gamma=1, v=1, pert_power=5))
         assert H.dim == 4
 
 

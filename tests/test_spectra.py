@@ -12,7 +12,7 @@ from scipy.optimize import linear_sum_assignment
 
 from epspectra import _roots, ep_locator, spectra
 from epspectra._roots import RootFindingError, min_cost_assignment, polynomial_roots
-from epspectra.exact_poly import Rational, faddeev_leverrier, rat
+from epspectra.exact_poly import ParamPoly, Rational, faddeev_leverrier, rat
 from epspectra.operators import ModelParams, build_generalized_hamiltonian
 from epspectra.spectra import (
     ClassificationError,
@@ -59,7 +59,7 @@ class TestEigenvalues:
         # a matrix that still carries c has no spectrum until c is fixed;
         # fixing it in the matrix or in exact_spectra gives the same bits
         H = build_generalized_hamiltonian(
-            ModelParams(particles=3, gamma=1, v=1, c=None), "monomial")
+            ModelParams(particles=3, gamma=1, v=1, c=ParamPoly.monomial(1, 1)), "monomial")
         with pytest.raises(ValueError, match="formal parameter 'c'"):
             exact_spectrum(H)
         fixed = build_generalized_hamiltonian(
@@ -277,7 +277,7 @@ class TestExactSpectra:
 
     def test_needs_a_value_of_c(self):
         with pytest.raises(ValueError, match="value of c"):
-            exact_spectra(ModelParams(particles=3, c=None), "gamma", [1])
+            exact_spectra(ModelParams(particles=3, c=ParamPoly.monomial(1, 1)), "gamma", [1])
         with pytest.raises(ValueError):
             exact_spectra(ModelParams(particles=3), "v", [1])
         rows, scales = exact_spectra(ModelParams(particles=3), "c", [])
