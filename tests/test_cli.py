@@ -720,13 +720,18 @@ _DENSE_JOBS = {
     ("trajectory", 5): [["trajectory", "--particles", "5", "--gamma", "1",
                          "--c", "0.0004:0.04:60:log", "--format", fmt]
                         for fmt in ("csv", "text", "json")],
+    ("ep-map", 11): [["ep-map", "-N", "11", "--c", "0.004:7.3:24:log", "--format", fmt]
+                     for fmt in ("csv", "json")],
 }
 # sha256 of each group's jobs, recorded before the tables were rendered from
-# templates; the renderer must not change one output byte
+# templates; the renderer must not change one output byte. The ep-map job,
+# the README map, was recorded before the pair counter stopped sorting rows.
+# Like the others it pins the bits of this machine's LAPACK.
 _DENSE_DIGESTS = {
     ("spectrum", 11): "33e91f42fe8a5a60a6875c726e82e973e7d5c58cb973124c23142618446ea4f6",
     ("spectrum", 40): "fb7949eab1c39f01203bae7f7c8f058e1c750df0da5e17aa2ae9c391163e1eb3",
     ("trajectory", 5): "2ecd5cae11814c5742067b132550280bce883800ecd614ac5cba1bbea6a8e418",
+    ("ep-map", 11): "2973a8bef95e812d0a742fe595c372d96577102c865049a1e89d881abda2c7cb",
 }
 
 
