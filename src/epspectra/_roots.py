@@ -82,14 +82,19 @@ def _horner(rev, x):
 
 
 def _polished(cc, roots):
-    """Newton steps on each row's roots until every step of that row is below _REL_TOL."""
+    """Newton steps on each row's roots until every step of that row is below _REL_TOL.
+
+    A step that overflows leaves inf or nan in the roots, without a numpy
+    warning; the final finiteness check turns it into RootFindingError.
+    """
     rev, drev = cc[:, ::-1], (cc[:, 1:] * np.arange(1, cc.shape[1]))[:, ::-1]
     active = np.arange(len(cc))
     for _ in range(_POLISH_ITERATIONS):
         x = roots[active]
-        val, der = _horner(rev[active], x), _horner(drev[active], x)
-        step = np.where(der != 0, val / np.where(der != 0, der, 1), 0)
-        x = x - step
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            val, der = _horner(rev[active], x), _horner(drev[active], x)
+            step = np.where(der != 0, val / np.where(der != 0, der, 1), 0)
+            x = x - step
         roots[active] = x
         active = active[~np.all(np.abs(step) <= _REL_TOL * np.maximum(1.0, np.abs(x)), axis=1)]
         if not active.size:

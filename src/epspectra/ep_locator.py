@@ -89,9 +89,10 @@ def _pair_count_fn(particles, v, c):
     point at a time. LAPACK returns every non-real eigenvalue of a real
     matrix with its exact conjugate, so a point's count is the number of
     eigenvalues with Im > 1e-7 * scale, with scale = max(1, max|H|) of the
-    complex H. There is no pairing to fail and no fallback. At c = 0 every
-    breaking point sits at the order-(N+1) degeneracy where the dense route
-    is meaningless, so every count is exact there (``_exact_counts``: one
+    complex H, counted on the rows in LAPACK's order, which the count does
+    not need sorted. There is no pairing to fail and no fallback. At c = 0
+    every breaking point sits at the order-(N+1) degeneracy where the dense
+    route is meaningless, so every count is exact there (``_exact_counts``: one
     stacked exact solve per call, the same counts as point by point).
     """
     params = ModelParams(particles=particles, v=float(v), c=float(c))
@@ -176,11 +177,14 @@ def locate_eps(particles, v, c, gamma_range=None, tol=1e-9):
     (UsageError otherwise); bisection also stops when the bracket ends are
     adjacent floats. The count calls |Im| <= 1e-7 * scale real and has no
     pairing fallback (see ``_pair_count_fn``), so bisection converges where
-    the splitting crosses that threshold, not on the EP itself. At weak
-    coupling (N = 11, c <= 0.03) that puts the position within a few 1e-9
-    of a 40-digit count. Where the splitting grows slowly, as for the
-    small-gamma EPs at strong coupling (c >= 0.39 in the README map), the
-    position can be off by far more than ``tol`` (ROADMAP item 1).
+    the splitting crosses that threshold, not on the EP itself. Measured at
+    N = 11, v = 1: at c = 0.004 EPs 1 and 2 lie within 2e-9 of a bisected
+    40-digit count; at c = 1e-4, 5 of the 6 positions are wrong (ROADMAP
+    item 14); at c >= 0.39 the small-gamma EPs, whose splitting grows
+    slowly, are wrong, at c = 7.3 by up to 6e-6 (ROADMAP item 1). Near each
+    crossing the count flickers over about 1e-6 of gamma (a coarser scan
+    moves the c = 0.1/11 EPs by up to 2e-6), so digits below that are
+    rounding noise, whatever ``tol`` is.
     """
     lo, hi = _search_range(particles, v, gamma_range, tol)
     counts = _pair_count_fn(particles, v, c)

@@ -218,6 +218,10 @@ class HamiltonianFamily:
     e_{N/2} is sqrt2 times larger on the u side and zero on the w side for
     even N; for odd N, u and w of the middle pair decouple and carry +-v (N+1)/2
     on the diagonal. Odd k has no PT symmetry: ``stack`` gives H itself.
+
+    Each stack copies a template built once per family, the tunneling of H
+    or of R, and writes the diagonal and, for R, the anti-diagonal: the
+    entries of the parameter that is not varied are computed once too.
     """
 
     def __init__(self, params: ModelParams):
@@ -234,7 +238,9 @@ class HamiltonianFamily:
         self.tunneling = 2.0 * float(params.v) * (ladders / 2.0)
         self.lz = np.arange(self.dim) - N / 2.0
         self.lz_k = self.lz**params.pert_power
-        self.real_form = None
+        # |H| off the diagonal, the floor of every scale
+        self._floor = max(1.0, float(np.abs(self.tunneling).max()))
+        self._template = self.tunneling
         if params.pert_power % 2 == 0:
             # the tunneling in the PT basis; the middle pair (or e_{N/2}) differs
             R = self.tunneling.real.copy()
@@ -246,7 +252,22 @@ class HamiltonianFamily:
             else:
                 R[h - 1, h] = R[h, h - 1] = np.sqrt(2.0) * t
                 R[h, h + 1] = R[h + 1, h] = 0.0
-            self.real_form = R
+            self._template = R
+            # the anti-diagonal in flat indices, R[p, q] then R[q, p], and
+            # its +-m_p: 2 gamma (-m_p) has the bits of -(2 gamma m_p)
+            p = np.arange(h)
+            q = N - p
+            self._anti_at = np.concatenate([p * self.dim + q, q * self.dim + p])
+            self._anti_lz = np.concatenate([self.lz[p], -self.lz[p]])
+            # an overflowing value leaves inf or nan in the matrix, which
+            # ``spectra.eigenvalues`` reports with the point that produced it
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._fixed = {"gamma": self._real_diagonal(self.c),
+                               "c": 2.0 * self.gamma * self._anti_lz}
+
+    def _real_diagonal(self, c):
+        # R's own diagonal is added, not written over: 2 c m^k may be -0.0
+        return 2.0 * c * self.lz_k + self._template.diagonal()
 
     def stack(self, vary: str, values) -> np.ndarray:
         """H, or for even k its real PT form, at each value of ``vary`` ("gamma" or "c").
@@ -256,25 +277,21 @@ class HamiltonianFamily:
         if vary not in ("gamma", "c"):
             raise ValueError("vary must be 'gamma' or 'c'")
         x = np.asarray(values, dtype=float)[:, None]
-        if self.real_form is None:
-            out = np.empty((len(x), self.dim, self.dim), dtype=complex)
-            out[:] = self.tunneling
-            d = np.arange(self.dim)
-            out[:, d, d] += self._diagonal(vary, x)
+        dim = self.dim
+        out = np.empty((len(x), dim, dim), dtype=self._template.dtype)
+        out[:] = self._template
+        flat = out.reshape(len(x), dim * dim)
+        if out.dtype == complex:
+            # += onto the zero diagonal, which turns a -0.0 part into +0.0
+            flat[:, ::dim + 1] += self._diagonal(vary, x)
             return out
-        R, d = self.real_form, np.arange(self.dim)
-        p = np.arange(self.dim // 2)
-        q = self.dim - 1 - p
-        gamma, c = (x, self.c) if vary == "gamma" else (self.gamma, x)
-        out = np.empty((len(x), self.dim, self.dim))
-        out[:] = R
-        # an overflowing value leaves inf or nan in the matrix, which
-        # ``spectra.eigenvalues`` reports with the point that produced it
         with np.errstate(over="ignore", invalid="ignore"):
-            out[:, d, d] = 2.0 * c * self.lz_k + R[d, d]
-            anti = 2.0 * gamma * self.lz[p]
-        out[:, p, q] = anti
-        out[:, q, p] = -anti
+            if vary == "gamma":
+                flat[:, ::dim + 1] = self._fixed["gamma"]
+                flat[:, self._anti_at] = 2.0 * x * self._anti_lz
+            else:
+                flat[:, ::dim + 1] = self._real_diagonal(x)
+                flat[:, self._anti_at] = self._fixed["c"]
         return out
 
     def _diagonal(self, vary, x, n=slice(None)):
@@ -290,7 +307,7 @@ class HamiltonianFamily:
         |m| and |m^k| are largest.
         """
         corner = self._diagonal(vary, np.asarray(values, dtype=float), 0)
-        return np.maximum(np.abs(corner), max(1.0, float(np.abs(self.tunneling).max())))
+        return np.maximum(np.abs(corner), self._floor)
 
     @property
     def array(self) -> np.ndarray:

@@ -63,15 +63,20 @@ class ClassificationError(NumericalError):
 
 
 def _sorted_eigs(vals: np.ndarray) -> np.ndarray:
-    order = np.lexsort((vals.imag, vals.real), axis=-1)
-    return np.take_along_axis(vals, order, axis=-1)
+    """``vals`` with each row ordered by (Re, Im), sorted in place.
+
+    The stable complex sort puts finite values, ties and signed zeros
+    included, in the order of a lexsort on (Re, Im).
+    """
+    vals.sort(axis=-1, kind="stable")
+    return vals
 
 
 def eigenvalues(matrix, context: str = "") -> np.ndarray:
-    """All eigenvalues of a float matrix by the dense LAPACK solver, ordered by (Re, Im).
+    """All eigenvalues of a float matrix by the dense LAPACK solver, in LAPACK's order.
 
-    A stack of shape (..., M, M) gives each matrix's sorted eigenvalues
-    along the last axis, the same bits as one call per matrix. A float64
+    A stack of shape (..., M, M) gives each matrix's eigenvalues along the
+    last axis, the same bits as one call per matrix. A float64
     matrix is solved as real (LAPACK dgeev), so every non-real eigenvalue
     comes with its exact conjugate; any other matrix is solved as complex.
     The result is complex either way. Exact matrices go through
@@ -89,7 +94,7 @@ def eigenvalues(matrix, context: str = "") -> np.ndarray:
         vals = np.linalg.eigvals(arr)
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"eigensolver did not converge {context}: {exc}") from exc
-    return _sorted_eigs(vals.astype(complex, copy=False))
+    return vals.astype(complex, copy=False)
 
 
 def exact_spectrum(tri: ExactTridiagonal) -> np.ndarray:
@@ -164,12 +169,13 @@ class Classification:
 
 
 def stacked_spectra(family, vary: str, values):
-    """Sorted eigenvalues and scale max(1, max|H|) of a family's H at each value of ``vary``.
+    """Eigenvalues and scale max(1, max|H|) of a family's H at each value of ``vary``.
 
     ``family`` is an orthonormal ``HamiltonianFamily``. Returns the
-    (len(values), N+1) eigenvalue array and the array of scales, those of
-    the complex H. Even k solves the real PT form of H (``family.stack``),
-    odd k H itself. Matrices are eigensolved in stacks of at most
+    (len(values), N+1) eigenvalue array, each row in LAPACK's order (see
+    ``eigenvalues``), and the array of scales, those of the complex H. Even
+    k solves the real PT form of H (``family.stack``), odd k H itself.
+    Matrices are eigensolved in stacks of at most
     _STACK_BYTES / (16 (N+1)^2) matrices, so the matrices held at once do
     not grow with the number of values. A failing stack is solved again
     one matrix at a time, so the error names its first failing point.
@@ -188,15 +194,17 @@ def stacked_spectra(family, vary: str, values):
                 gamma, c = (x, family.c) if vary == "gamma" else (family.gamma, x)
                 eigenvalues(h, context=f"(N={p.particles}, gamma={gamma}, v={float(p.v)}, c={c})")
             raise
-    rows = np.concatenate(rows or [np.empty((0, family.dim), dtype=complex)])
+    rows = rows[0] if len(rows) == 1 else np.concatenate(
+        rows or [np.empty((0, family.dim), dtype=complex)])
     return rows, family.scales(vary, values)
 
 
 def sweep(params: ModelParams, vary: str, grid) -> np.ndarray:
-    """The (points, N+1) array of sorted eigenvalues at each grid point of gamma or c."""
+    """The (points, N+1) array of eigenvalues at each grid point of gamma or c, by (Re, Im)."""
     if vary not in ("gamma", "c"):
         raise ValueError("vary must be 'gamma' or 'c'")
-    return stacked_spectra(build_generalized_hamiltonian(params, "orthonormal"), vary, grid)[0]
+    family = build_generalized_hamiltonian(params, "orthonormal")
+    return _sorted_eigs(stacked_spectra(family, vary, grid)[0])
 
 
 def optimal_match_distance(a, b) -> float:
@@ -271,8 +279,9 @@ def matched_sweep(params: ModelParams, vary: str, grid, max_levels: int = 12,
     step, so nothing is refined.
 
     ``evaluate`` maps a list of ``vary`` values to eigenvalue rows (default:
-    ``stacked_spectra`` of H at ``params``); it gets the whole grid, then each
-    inserted midpoint, so every returned point is evaluated once.
+    ``stacked_spectra`` of H at ``params``, each row ordered by (Re, Im));
+    it gets the whole grid, then each inserted midpoint, so every returned
+    point is evaluated once.
 
     Returns (trajectories, unresolved_intervals): the floor pieces still
     flagged and square-root-like, one per branch point crossed inside a
@@ -280,7 +289,7 @@ def matched_sweep(params: ModelParams, vary: str, grid, max_levels: int = 12,
     """
     if evaluate is None:
         family = build_generalized_hamiltonian(params, "orthonormal")
-        evaluate = lambda xs: stacked_spectra(family, vary, xs)[0]
+        evaluate = lambda xs: _sorted_eigs(stacked_spectra(family, vary, xs)[0])
     grid = sorted(float(g) for g in grid)
     if len(grid) < 1:
         raise ValueError("refinement needs at least one grid point")

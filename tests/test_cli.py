@@ -313,6 +313,22 @@ class TestNewtonCommand:
         assert "parameter Delta" in text
         assert "segment mu = 1/2" in text
 
+    @pytest.mark.xfail(strict=True, reason="float roots of the reduced polynomial miss the "
+                       "ring law from N = 50 at k = 1 (ROADMAP item 13)")
+    def test_n50_k1_follows_the_ring_law(self, tmp_path):
+        # the law predicts 25 pairs + 1; today the command prints observed
+        # sizes {1: 15, 2: 18} and exits 0
+        code, text = run_cli(tmp_path, "newton", "-N", "50", "--pert-power", "1",
+                             "--format", "json", name="n.json")
+        assert code == 0
+        doc = json.loads(text)
+        pred = doc["predicted"]
+        observed = {int(s): n for s, n in doc["observed_ring_sizes"].items()}
+        others = sum(s * n for s, n in observed.items() if s != pred["ring_size"])
+        assert (pred["ring_count"], pred["ring_size"], pred["remainder"]) == (25, 2, 1)
+        assert observed.get(pred["ring_size"], 0) == pred["ring_count"]
+        assert others == pred["remainder"]
+
 
 class TestEpMapCommand:
     def test_single_c(self, tmp_path):
@@ -507,6 +523,15 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("numerical failure:")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+    def test_diverging_polish_is_one_numerical_failure_line(self, capsys):
+        # at N = 110 the reduced polynomial overflows the float Horner
+        # evaluation: exit 2 with one line and no numpy warning, which this
+        # suite's warning filter would raise
+        assert main(["newton", "-N", "110"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: Newton polishing diverged\n"
 
     @pytest.mark.parametrize("v", ["1e400", "1e-400"])
     def test_charpoly_of_any_nonzero_exact_v(self, v, capsys):

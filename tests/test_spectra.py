@@ -29,6 +29,11 @@ from epspectra.spectra import (
 )
 
 
+def _lexsorted(rows):
+    """Each row ordered by (Re, Im) with a stable lexsort, the sort's oracle."""
+    return np.take_along_axis(rows, np.lexsort((rows.imag, rows.real), axis=-1), axis=-1)
+
+
 def float_hamiltonian(N, gamma, v=1.0, c=0.0):
     return build_generalized_hamiltonian(
         ModelParams(particles=N, gamma=gamma, v=v, c=c), "orthonormal")
@@ -38,7 +43,7 @@ class TestEigenvalues:
     def test_hermitian_ladder_spectrum(self):
         # gamma = 0, c = 0: H = 2 v L_x with eigenvalues n v
         ev = eigenvalues(float_hamiltonian(11, 0.0).array)
-        assert np.allclose(ev.real, np.arange(-11, 12, 2), atol=1e-12)
+        assert np.allclose(np.sort(ev.real), np.arange(-11, 12, 2), atol=1e-12)
         assert np.abs(ev.imag).max() <= 1e-12
 
     def test_broken_phase_imaginary(self):
@@ -86,14 +91,15 @@ class TestEigenvalues:
     def test_sweep_stacks_match_one_point_solves(self):
         # N=40 puts 38 matrices in one 1 MiB block, so 100 points take three
         # stacked solves; each spectrum keeps the bits of its own solve, and
-        # each scale is max(1, max|H|) of its own matrix
+        # each scale is max(1, max|H|) of its own matrix; the sweep orders
+        # each row by (Re, Im)
         params = ModelParams(particles=40, gamma=0.0, v=1.0, c=0.0025, pert_power=3)
         grid = np.linspace(0.0, 1.5, 100)
         swept = sweep(params, "gamma", grid)
         family = spectra.build_generalized_hamiltonian(params, "orthonormal")
         rows, scales = spectra.stacked_spectra(family, "gamma", grid)
-        assert swept.shape == (100, 41) and swept.tobytes() == rows.tobytes()
-        for g, row, scale in zip(grid, swept, scales):
+        assert swept.shape == (100, 41) and swept.tobytes() == _lexsorted(rows).tobytes()
+        for g, row, scale in zip(grid, rows, scales):
             one = spectra.build_generalized_hamiltonian(replace(params, gamma=float(g)))
             assert row.tobytes() == eigenvalues(one.array).tobytes()
             assert scale == max(1.0, one.max_abs())
@@ -107,8 +113,8 @@ class TestEigenvalues:
         swept = sweep(params, "gamma", grid)
         family = spectra.build_generalized_hamiltonian(params, "orthonormal")
         rows, scales = spectra.stacked_spectra(family, "gamma", grid)
-        assert swept.shape == (100, 41) and swept.tobytes() == rows.tobytes()
-        for g, row, scale in zip(grid, swept, scales):
+        assert swept.shape == (100, 41) and swept.tobytes() == _lexsorted(rows).tobytes()
+        for g, row, scale in zip(grid, rows, scales):
             one = spectra.build_generalized_hamiltonian(replace(params, gamma=float(g)))
             real_form = one.stack("gamma", [float(g)])[0]
             assert real_form.dtype == np.float64
@@ -145,12 +151,22 @@ class TestEigenvalues:
             sweep(params, "gamma", [0.0, 1.0, 1e308])
 
     def test_deterministic_ordering(self):
-        H = float_hamiltonian(9, 1.2, 1.0, 0.05).array
-        a = eigenvalues(H)
-        b = eigenvalues(H)
+        # eigenvalues keeps LAPACK's order; a sweep orders each row by (Re, Im)
+        params = ModelParams(particles=9, gamma=1.2, v=1.0, c=0.05)
+        R = float_hamiltonian(9, 0.0, 1.0, 0.05).stack("gamma", [1.2])[0]
+        a = eigenvalues(R)
+        b = eigenvalues(R)
         assert np.array_equal(a, b)
         key = sorted(zip(a.real, a.imag))
-        assert [complex(r, i) for r, i in key] == list(a)
+        assert [complex(r, i) for r, i in key] == list(sweep(params, "gamma", [1.2])[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.complex128, st.tuples(st.integers(1, 4), st.integers(1, 13)),
+                      elements=st.builds(complex, *[st.sampled_from(
+                          [-np.inf, -1.5, -0.0, 0.0, 1.5, 2.0, np.inf])] * 2)))
+    def test_in_place_sort_is_the_lexsort(self, vals):
+        # ties, signed zeros and infinities come out in the lexsort's order
+        assert spectra._sorted_eigs(vals.copy()).tobytes() == _lexsorted(vals).tobytes()
 
 
 _coefficients = st.one_of(
