@@ -89,16 +89,17 @@ def _polished(cc, roots):
     """
     rev, drev = cc[:, ::-1], (cc[:, 1:] * np.arange(1, cc.shape[1]))[:, ::-1]
     active = np.arange(len(cc))
-    for _ in range(_POLISH_ITERATIONS):
-        x = roots[active]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(_POLISH_ITERATIONS):
+            x = roots[active]
             val, der = _horner(rev[active], x), _horner(drev[active], x)
             step = np.where(der != 0, val / np.where(der != 0, der, 1), 0)
             x = x - step
-        roots[active] = x
-        active = active[~np.all(np.abs(step) <= _REL_TOL * np.maximum(1.0, np.abs(x)), axis=1)]
-        if not active.size:
-            break
+            roots[active] = x
+            active = active[~np.all(np.abs(step) <= _REL_TOL * np.maximum(1.0, np.abs(x)),
+                                    axis=1)]
+            if not active.size:
+                break
     if not np.all(np.isfinite(roots)):
         raise RootFindingError("Newton polishing diverged")
     return roots
