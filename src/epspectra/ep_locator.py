@@ -64,20 +64,11 @@ class EPMap:
     records: list  # one list of EPRecord per c value
 
 
-def _exact_counts(particles, v, c, gammas, tols) -> list:
-    """Exact-route pair counts at ``gammas``, each row classified with its ``tols`` entry.
-
-    One stacked ``exact_spectra`` call gives the same rows, hence the same
-    counts, as one call per gamma.
-    """
-    params = ModelParams(particles=particles, v=rat(float(v)), c=rat(float(c)))
-    rows = spectra.exact_spectra(params, "gamma", [float(g) for g in gammas])[0]
-    return [spectra.classify(row, imag_tol=tol, pair_tol=float("inf")).conjugate_pair_count
-            for row, tol in zip(rows, tols)]
-
-
 def _exact_count(particles, gamma, v, c, tol):
-    return _exact_counts(particles, v, c, [gamma], [tol])[0]
+    """Conjugate pairs at one point on the exact route, classified at imaginary tolerance ``tol``."""
+    params = ModelParams(particles=particles, v=rat(float(v)), c=rat(float(c)))
+    (row,), _ = spectra.exact_spectra(params, "gamma", [float(gamma)])
+    return spectra.classify(row, imag_tol=tol, pair_tol=float("inf")).conjugate_pair_count
 
 
 def _pair_count_fn(particles, v, c):
@@ -90,18 +81,10 @@ def _pair_count_fn(particles, v, c):
     matrix with its exact conjugate, so a point's count is the number of
     eigenvalues with Im > 1e-7 * scale, with scale = max(1, max|H|) of the
     complex H, counted on the rows in LAPACK's order, which the count does
-    not need sorted. There is no pairing to fail and no fallback. At c = 0
-    every breaking point sits at the order-(N+1) degeneracy where the dense
-    route is meaningless, so every count is exact there (``_exact_counts``: one
-    stacked exact solve per call, the same counts as point by point).
+    not need sorted. There is no pairing to fail and no fallback.
     """
-    params = ModelParams(particles=particles, v=float(v), c=float(c))
-    family = build_generalized_hamiltonian(params, "orthonormal")
-
-    if float(c) == 0.0:
-        def counts(gammas) -> list:
-            return _exact_counts(particles, v, c, gammas, 1e-7 * family.scales("gamma", gammas))
-        return counts
+    family = build_generalized_hamiltonian(
+        ModelParams(particles=particles, v=float(v), c=float(c)), "orthonormal")
 
     def counts(gammas) -> list:
         rows, scales = spectra.stacked_spectra(family, "gamma", gammas)
@@ -170,8 +153,9 @@ def locate_eps(particles, v, c, gamma_range=None, tol=1e-9):
     another, each a stacked eigensolve. The default gamma range
     [0, |v| (N+3)/2] covers the strong-coupling asymptote |v| (N+1)/2 with
     margin; a given range must be finite with lo < hi (UsageError
-    otherwise). For c = 0 use mother_ep_check instead (the degeneracy there
-    has order N+1).
+    otherwise). c = 0 is refused (UsageError): its only EPs are the two
+    of order N+1 at gamma = +-v, which ``mother_ep_check`` verifies. A
+    negative c gives the EPs of |c| (H(-c) is similar to -H(c)).
 
     ``tol`` bounds the bisection bracket and must be finite and > 0
     (UsageError otherwise); bisection also stops when the bracket ends are
@@ -187,6 +171,9 @@ def locate_eps(particles, v, c, gamma_range=None, tol=1e-9):
     rounding noise, whatever ``tol`` is.
     """
     lo, hi = _search_range(particles, v, gamma_range, tol)
+    if float(c) == 0.0:
+        raise UsageError("locate_eps needs c != 0 (the c=0 EP is the mother EP: "
+                         "use mother_ep_check)")
     counts = _pair_count_fn(particles, v, c)
     grid = np.linspace(lo, hi, _COARSE_POINTS).tolist()
     scan = counts(grid)
@@ -209,18 +196,6 @@ def ep_map(particles, v, c_grid, gamma_range=None, tol=1e-9) -> EPMap:
     return EPMap(c_values=c_values, records=records)
 
 
-@dataclass
-class MotherEPReport:
-    """The mother EP's eigenvalue moduli on the exact route, and their tolerance.
-
-    The tolerance is 1e-6 max|H| of the monomial-basis H (``exact_spectra``'s
-    scale), not of the orthonormal H the dense route scales by.
-    """
-
-    max_modulus_charpoly_route: float
-    modulus_tolerance: float
-
-
 def _jordan_structure(tri):
     """(H^M == 0, H^(M-1) != 0) for an M x M ``ExactTridiagonal`` H.
 
@@ -234,17 +209,13 @@ def _jordan_structure(tri):
     return nilpotent, not nilpotent or all(any(re or im for re, im in b) for b in tri.offs)
 
 
-def mother_ep_check(particles, v=1) -> MotherEPReport:
-    """Verify the order-(N+1) EP at gamma = v, c = 0.
+def mother_ep_check(particles, v=1) -> None:
+    """Verify the order-(N+1) EP at gamma = v, c = 0, or raise NilpotencyError.
 
-    Exact check (authoritative, by _jordan_structure): the monomial-basis
-    Hamiltonian satisfies H^(N+1) = 0 with H^N != 0, i.e. it is one full
-    Jordan block. Floating check: all eigenvalue moduli vanish to
-    1e-6 * max|H|, with max|H| that of the monomial-basis H (see
-    ``MotherEPReport``); the eigenvalues come from the exact characteristic
-    polynomial (identically lambda^(N+1) here, so its companion roots are
-    exact zeros). The dense solver is not used: an (N+1)-fold root only
-    admits accuracy ~ eps^(1/(N+1)) on that route.
+    Exactly, by ``_jordan_structure``: the monomial-basis H satisfies
+    H^(N+1) = 0 with H^N != 0, i.e. it is one full Jordan block. No float
+    route could add to that: the companion roots of lambda^(N+1) are exact
+    zeros, and the dense solver is accurate only to ~ eps^(1/(N+1)) here.
     """
     vr = rat(v)
     params = ModelParams(particles=particles, gamma=vr, v=vr, c=0)
@@ -254,6 +225,3 @@ def mother_ep_check(particles, v=1) -> MotherEPReport:
             f"mother EP structure violated at N={particles}, v={v}: "
             f"H^{particles + 1} zero: {nilpotent}, H^{particles} nonzero: {nonzero}"
         )
-    (vals,), (scale,) = spectra.exact_spectra(params, "gamma", [vr])
-    return MotherEPReport(max_modulus_charpoly_route=float(np.abs(vals).max()),
-                          modulus_tolerance=1e-6 * scale)

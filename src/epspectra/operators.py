@@ -40,7 +40,6 @@ from .exact_poly import (
 )
 
 __all__ = [
-    "AngularMomentumRep",
     "ModelParams",
     "OperatorMatrix",
     "HamiltonianFamily",
@@ -53,29 +52,6 @@ __all__ = [
 
 class UsageError(ValueError):
     """Invalid model parameters (degenerate or unsupported input)."""
-
-
-@dataclass(frozen=True)
-class AngularMomentumRep:
-    """Angular momentum representation for N particles: l = N/2, dim = N+1."""
-
-    particles: int
-
-    def __post_init__(self):
-        if self.particles < 1:
-            raise UsageError("need at least one particle (dim 1 is trivial)")
-
-    @property
-    def l(self):
-        return Rational(self.particles) / 2
-
-    @property
-    def dim(self) -> int:
-        return self.particles + 1
-
-    def m_values(self):
-        """m = n - l for n = 0..N, ascending."""
-        return [Rational(n) - self.l for n in range(self.dim)]
 
 
 @dataclass(frozen=True)
@@ -102,10 +78,6 @@ class ModelParams:
             raise UsageError("perturbation power must be >= 1")
         if self.v == 0:
             raise UsageError("v = 0 leaves no tunneling scale; spectra need v != 0")
-
-    @property
-    def rep(self) -> AngularMomentumRep:
-        return AngularMomentumRep(self.particles)
 
 
 class OperatorMatrix:
@@ -183,15 +155,15 @@ class OperatorMatrix:
 # -- ladder operators ---------------------------------------------------------
 
 
-def build_ladder(rep: AngularMomentumRep, which: str) -> OperatorMatrix:
-    """L_+ or L_- in the monomial basis: L_+ xi^n = (2l-n) xi^{n+1}, L_- xi^n = n xi^{n-1}."""
+def build_ladder(particles: int, which: str) -> OperatorMatrix:
+    """L_+ or L_- in the monomial basis: L_+ xi^n = (N-n) xi^{n+1}, L_- xi^n = n xi^{n-1}."""
     if which not in ("plus", "minus"):
         raise ValueError("which must be 'plus' or 'minus'")
-    N = rep.particles
-    M = OperatorMatrix.exact_zeros(rep.dim)
-    for n in range(rep.dim):
-        if which == "plus" and n + 1 < rep.dim:
-            M.entries[n + 1][n] = ParamPoly.const(GaussianRational(N - n))
+    dim = particles + 1
+    M = OperatorMatrix.exact_zeros(dim)
+    for n in range(dim):
+        if which == "plus" and n + 1 < dim:
+            M.entries[n + 1][n] = ParamPoly.const(GaussianRational(particles - n))
         if which == "minus" and n - 1 >= 0:
             M.entries[n - 1][n] = ParamPoly.const(GaussianRational(n))
     return M
@@ -373,11 +345,10 @@ def build_rotated_hamiltonian(params: ModelParams) -> OperatorMatrix:
     production route to its characteristic polynomial is the tridiagonal
     H (``newton_polygon.unfolding_charpoly``).
     """
-    rep = params.rep
     k = params.pert_power
     v = rat(params.v)
-    lm = build_ladder(rep, "minus")
-    lp = build_ladder(rep, "plus")
+    lm = build_ladder(params.particles, "minus")
+    lp = build_ladder(params.particles, "plus")
     diff = lp.add(lm.scale(GaussianRational(-1)))
     pert = diff.power(k)
     if k == 1:

@@ -86,14 +86,11 @@ def eigenvalues(matrix, context: str = "") -> np.ndarray:
     arr = np.asarray(matrix)
     if arr.dtype != np.float64:
         arr = np.asarray(arr, dtype=complex)
-    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
-        raise SpectralError(f"matrix is not square {context}")
-    if not np.all(np.isfinite(arr)):
-        raise SpectralError(f"matrix has non-finite entries {context}")
     try:
+        # LinAlgError also stands for a non-square or non-finite matrix
         vals = np.linalg.eigvals(arr)
     except np.linalg.LinAlgError as exc:
-        raise SpectralError(f"eigensolver did not converge {context}: {exc}") from exc
+        raise SpectralError(f"eigensolver failed {context}: {exc}") from exc
     return vals.astype(complex, copy=False)
 
 

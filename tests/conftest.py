@@ -20,9 +20,9 @@ def _composed_hamiltonian(params):
     so it is independent of the package's tridiagonal builder. gamma and c
     may be ``ParamPoly`` values, and the matrix's parameter is then "c".
     """
-    rep, k = params.rep, params.pert_power
-    lz = build_cartesian(rep, "z")
-    lx = build_cartesian(rep, "x")
+    N, k = params.particles, params.pert_power
+    lz = build_cartesian(N, "z")
+    lx = build_cartesian(N, "x")
     H = _times(lz.scale(GaussianRational(0, -2)), params.gamma).add(
         _times(lx.scale(GaussianRational(2)), params.v)).add(
         _times(lz.power(k).scale(GaussianRational(2)), params.c))

@@ -16,7 +16,6 @@ from epspectra import spectra
 from epspectra._roots import min_cost_assignment
 from epspectra.exact_poly import CharPoly, GaussianRational, ParamPoly, Rational
 from epspectra.operators import (
-    AngularMomentumRep,
     ModelParams,
     OperatorMatrix,
     build_generalized_hamiltonian,
@@ -24,13 +23,13 @@ from epspectra.operators import (
 )
 
 
-def ladder(rep, which):
-    """Orthonormal L_+ or L_-: <l,m+-1| L_+- |l,m> = sqrt((l -+ m)(l +- m + 1))."""
+def ladder(particles, which):
+    """Orthonormal L_+ or L_-: <l,m+-1| L_+- |l,m> = sqrt((l -+ m)(l +- m + 1)), l = N/2."""
     if which not in ("plus", "minus"):
         raise ValueError("which must be 'plus' or 'minus'")
-    dim = rep.dim
+    dim = particles + 1
     A = np.zeros((dim, dim), dtype=complex)
-    l = rep.particles / 2.0
+    l = particles / 2.0
     for n in range(dim):
         m = n - l
         if which == "plus" and n + 1 < dim:
@@ -40,12 +39,12 @@ def ladder(rep, which):
     return A
 
 
-def cartesian(rep, axis):
+def cartesian(particles, axis):
     """Orthonormal L_x = (L_+ + L_-)/2, L_y = (L_+ - L_-)/(2i), L_z = diag(m)."""
     if axis == "z":
-        m = np.arange(rep.dim) - rep.particles / 2.0
+        m = np.arange(particles + 1) - particles / 2.0
         return np.diag(m.astype(complex))
-    lp, lm = ladder(rep, "plus"), ladder(rep, "minus")
+    lp, lm = ladder(particles, "plus"), ladder(particles, "minus")
     if axis == "x":
         return (lp + lm) / 2.0
     if axis == "y":
@@ -65,15 +64,15 @@ def is_zero(matrix):
     return not any(e for row in matrix.entries for e in row)
 
 
-def build_cartesian(rep: AngularMomentumRep, axis: str) -> OperatorMatrix:
-    """Monomial-basis L_x = (L_+ + L_-)/2, L_y = (L_+ - L_-)/(2i), L_z = diag(m)."""
+def build_cartesian(particles: int, axis: str) -> OperatorMatrix:
+    """Monomial-basis L_x = (L_+ + L_-)/2, L_y = (L_+ - L_-)/(2i), L_z = diag(n - N/2)."""
     if axis == "z":
-        M = OperatorMatrix.exact_zeros(rep.dim)
-        for n, m in enumerate(rep.m_values()):
-            M.entries[n][n] = ParamPoly.const(GaussianRational(m))
+        M = OperatorMatrix.exact_zeros(particles + 1)
+        for n in range(particles + 1):
+            M.entries[n][n] = ParamPoly.const(GaussianRational(Rational(2 * n - particles, 2)))
         return M
-    lp = build_ladder(rep, "plus")
-    lm = build_ladder(rep, "minus")
+    lp = build_ladder(particles, "plus")
+    lm = build_ladder(particles, "minus")
     half = GaussianRational(Rational(1, 2))
     if axis == "x":
         return lp.add(lm).scale(half)

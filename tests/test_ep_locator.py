@@ -31,12 +31,14 @@ def _count_at(gamma, particles, v, c):
 
 
 class TestPairCount:
-    def test_unbroken_region(self):
-        assert _count_at(0.5, 11, 1.0, 0.0) == 0
+    # at c = 0.1/11 the six EPs lie between gamma = 0.74 and 1.15
 
-    def test_fully_broken_c0(self):
+    def test_unbroken_region(self):
+        assert _count_at(0.5, 11, 1.0, 0.1 / 11) == 0
+
+    def test_fully_broken(self):
         # N odd: no n = 0 level, so all twelve values pair up
-        assert _count_at(1.5, 11, 1.0, 0.0) == 6
+        assert _count_at(1.5, 11, 1.0, 0.1 / 11) == 6
 
     def test_partially_broken_with_interaction(self):
         assert _count_at(1.0, 11, 1.0, 0.1 / 11) == 4
@@ -44,7 +46,7 @@ class TestPairCount:
 
 class TestStackedScan:
     # a list is counted in stacked eigensolves; each count must equal the
-    # count of a one-point list, including the exact routes
+    # count of a one-point list, and no point is counted exactly
 
     @staticmethod
     def _record_exact(monkeypatch):
@@ -59,13 +61,12 @@ class TestStackedScan:
         monkeypatch.setattr(spectra, "exact_spectra", exact_spectra)
         return seen
 
-    @pytest.mark.parametrize("c", [0.1 / 11, 0.0])
+    @pytest.mark.parametrize("c", [0.1 / 11, 7.3])
     def test_scan_grid_matches_point_counts(self, c, monkeypatch):
         seen = self._record_exact(monkeypatch)
         grid = np.linspace(0.0, 7.0, 512).tolist()
         stacked = ep_locator._pair_count_fn(11, 1.0, c)(grid)
-        # c = 0 counts exactly only: one stacked exact solve per counter call
-        assert seen == ([grid] if c == 0.0 else [])
+        assert seen == []
         assert stacked == [_count_at(g, 11, 1.0, c) for g in grid]
 
     def test_counter_is_the_vectorized_rule_on_a_stack(self, monkeypatch):
@@ -88,19 +89,26 @@ class TestStackedScan:
 
 class TestBisectionTolerance:
     @staticmethod
-    def _refused_before_any_count(monkeypatch, **kwargs):
+    def _refused_before_any_count(monkeypatch, c=0.1, **kwargs):
         def no_counting(*args, **kw):
             raise AssertionError("counted before checking the arguments")
 
         monkeypatch.setattr(ep_locator, "_pair_count_fn", no_counting)
         with pytest.raises(UsageError):
-            locate_eps(2, 1.0, 0.1, **kwargs)
+            locate_eps(2, 1.0, c, **kwargs)
         with pytest.raises(UsageError):
-            ep_map(2, 1.0, [0.1], **kwargs)
+            ep_map(2, 1.0, [c], **kwargs)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
     def test_refused_before_any_count(self, tol, monkeypatch):
         self._refused_before_any_count(monkeypatch, tol=tol)
+
+    @pytest.mark.parametrize("c", [0.0, -0.0])
+    def test_c0_refused_before_any_count(self, c, monkeypatch):
+        # c = 0 has only the two order-(N+1) EPs at gamma = +-v
+        self._refused_before_any_count(monkeypatch, c=c)
+        with pytest.raises(UsageError, match="mother_ep_check"):
+            locate_eps(11, 1.0, c)
 
     @pytest.mark.parametrize("gamma_range", [(0.0, -3.0), (0.0, 0.0), (0.0, math.inf),
                                              (math.nan, 1.0)])
@@ -333,8 +341,7 @@ class TestEPMap:
 class TestMotherEP:
     @pytest.mark.parametrize("N,v", [(1, 1), (5, 1), (5, 2), (11, 1)])
     def test_passes(self, N, v):
-        report = mother_ep_check(N, v)
-        assert report.max_modulus_charpoly_route <= report.modulus_tolerance
+        mother_ep_check(N, v)  # raises NilpotencyError on a violation
 
     @pytest.mark.parametrize("N", range(1, 9))
     def test_jordan_structure_agrees_with_powers(self, N, composed):

@@ -278,9 +278,8 @@ class TestUnfoldingCharpoly:
     def test_rescale_gives_the_doubled_perturbation(self):
         # H~ with -c (L+-L-)^2 is the physical -c/2 (L+-L-)^2 at 2c: the
         # build at c = 2t, and the rescaled polynomial of formal c
-        rep = ModelParams(particles=6).rep
-        lp = build_ladder(rep, "plus")
-        lm = build_ladder(rep, "minus")
+        lp = build_ladder(6, "plus")
+        lm = build_ladder(6, "minus")
         pert = lp.add(lm.scale(gr(-1))).power(2).scale(gr(-1)).shift_param(1)
         H = lm.scale(gr(2)).add(pert)
         H.param = "c"
@@ -351,15 +350,13 @@ class TestRealness:
 
     def test_complex_onsite_energy_breaks_realness(self):
         # epsilon with nonzero real part: H = 2 eps L_z + 2 v L_x, eps = 1 - i
-        rep = ModelParams(particles=4, gamma=1, v=1, c=0).rep
-        lz = build_cartesian(rep, "z")
-        lx = build_cartesian(rep, "x")
+        lz = build_cartesian(4, "z")
+        lx = build_cartesian(4, "x")
         H = lz.scale(GaussianRational(2, -2)).add(lx.scale(GaussianRational(2)))
         assert not _is_real(faddeev_leverrier(H))
 
     def test_real_diagonal_matrix(self):
-        rep = ModelParams(particles=5, gamma=0, v=1, c=0).rep
-        lz = build_cartesian(rep, "z")
+        lz = build_cartesian(5, "z")
         assert _is_real(faddeev_leverrier(lz))
 
 

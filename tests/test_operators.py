@@ -16,7 +16,6 @@ from epspectra.exact_poly import (
     rat,
 )
 from epspectra.operators import (
-    AngularMomentumRep,
     HamiltonianFamily,
     ModelParams,
     UsageError,
@@ -47,7 +46,7 @@ def as_poly(pairs, D):
 class TestLadders:
     def test_n1_minus_orthonormal(self):
         # single entry 1 connecting |1/2,1/2> -> |1/2,-1/2>
-        L = oracles.ladder(AngularMomentumRep(1), "minus")
+        L = oracles.ladder(1, "minus")
         expected = np.zeros((2, 2))
         expected[0, 1] = 1.0
         assert np.allclose(L, expected)
@@ -55,12 +54,12 @@ class TestLadders:
     def test_n5_plus_squared_entry(self):
         # <5/2,5/2| L+^2 |5/2,1/2> = sqrt(2*4) * sqrt(1*5) = 2 sqrt(10),
         # multiplying the two ladder factors by hand
-        L = oracles.ladder(AngularMomentumRep(5), "plus")
+        L = oracles.ladder(5, "plus")
         L2 = L @ L
         assert L2[5, 3] == pytest.approx(2.0 * np.sqrt(10.0), abs=1e-14)
 
     def test_n4_minus_monomial_superdiagonal(self):
-        L = build_ladder(AngularMomentumRep(4), "minus")
+        L = build_ladder(4, "minus")
         for n in range(1, 5):
             assert L.entries[n - 1][n] == ParamPoly.const(gr(n))
         assert sum(1 for i in range(5) for j in range(5) if L.entries[i][j]) == 4
@@ -68,35 +67,33 @@ class TestLadders:
     def test_plus_monomial_entries(self):
         # L+ xi^n = (2l - n) xi^(n+1)
         N = 6
-        L = build_ladder(AngularMomentumRep(N), "plus")
+        L = build_ladder(N, "plus")
         for n in range(N):
             assert L.entries[n + 1][n] == ParamPoly.const(gr(N - n))
 
 
 class TestCartesian:
     def test_lz_diagonal(self):
-        Lz = oracles.cartesian(AngularMomentumRep(1), "z")
+        Lz = oracles.cartesian(1, "z")
         assert np.allclose(np.diag(Lz), [-0.5, 0.5])
 
     def test_n2_lx_entry(self):
         # <1,1|L_x|1,0> = sqrt(2)/2, evaluated by hand from the ladder rule
-        Lx = oracles.cartesian(AngularMomentumRep(2), "x")
+        Lx = oracles.cartesian(2, "x")
         assert Lx[2, 1] == pytest.approx(np.sqrt(2.0) / 2.0, abs=1e-15)
 
     @pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 13, 21, 30])
     def test_su2_commutators_orthonormal(self, N):
-        rep = AngularMomentumRep(N)
-        Lx = oracles.cartesian(rep, "x")
-        Ly = oracles.cartesian(rep, "y")
-        Lz = oracles.cartesian(rep, "z")
+        Lx = oracles.cartesian(N, "x")
+        Ly = oracles.cartesian(N, "y")
+        Lz = oracles.cartesian(N, "z")
         for A, B, C in ((Lx, Ly, Lz), (Ly, Lz, Lx), (Lz, Lx, Ly)):
             assert np.abs(A @ B - B @ A - 1j * C).max() <= 1e-12
 
     def test_su2_commutators_monomial_exact(self):
-        rep = AngularMomentumRep(7)
-        Lx = build_cartesian(rep, "x")
-        Ly = build_cartesian(rep, "y")
-        Lz = build_cartesian(rep, "z")
+        Lx = build_cartesian(7, "x")
+        Ly = build_cartesian(7, "y")
+        Lz = build_cartesian(7, "z")
         comm = Lx.matmul(Ly).add(Ly.matmul(Lx).scale(gr(-1)))
         assert oracles.is_zero(comm.add(Lz.scale(gr(0, -1))))
 
@@ -181,7 +178,7 @@ class TestHamiltonian:
 
         def composed(N, k, gamma, c):
             lz = np.arange(N + 1) - N / 2.0
-            H = 2.0 * v * oracles.cartesian(AngularMomentumRep(N), "x")
+            H = 2.0 * v * oracles.cartesian(N, "x")
             H[np.diag_indices(N + 1)] += -2j * gamma * lz + 2.0 * c * lz**k
             return H.tobytes()
 
@@ -221,8 +218,6 @@ class TestHamiltonian:
             ModelParams(particles=0, gamma=1, v=1, c=0)
         with pytest.raises(UsageError):
             ModelParams(particles=4, gamma=1, v=0, c=0)
-        with pytest.raises(UsageError):
-            AngularMomentumRep(0)
 
 
 def charpoly(**params):
@@ -372,9 +367,8 @@ class TestRotatedHamiltonian:
         # 2 v L- - (c/2)(L+^2 - L0 + L-^2) with L0 = L+L- + L-L+
         params = ModelParams(particles=6, gamma=1, v=1)
         H = build_rotated_hamiltonian(params)
-        rep = params.rep
-        lp = build_ladder(rep, "plus")
-        lm = build_ladder(rep, "minus")
+        lp = build_ladder(params.particles, "plus")
+        lm = build_ladder(params.particles, "minus")
         l0 = lp.matmul(lm).add(lm.matmul(lp))
         pert = lp.matmul(lp).add(l0.scale(gr(-1))).add(lm.matmul(lm))
         expected = lm.scale(gr(2)).add(pert.scale(gr("-1/2")).shift_param(1))
@@ -393,9 +387,8 @@ class TestRotatedHamiltonian:
         params = ModelParams(particles=5, gamma=1, v=1, pert_power=1)
         H = build_rotated_hamiltonian(params)
         assert H.param == "Delta"
-        rep = params.rep
-        lp = build_ladder(rep, "plus")
-        lm = build_ladder(rep, "minus")
+        lp = build_ladder(params.particles, "plus")
+        lm = build_ladder(params.particles, "minus")
         expected = lm.scale(gr(2)).add(
             lp.add(lm.scale(gr(-1))).scale(gr(-1)).shift_param(1)
         )
@@ -405,9 +398,8 @@ class TestRotatedHamiltonian:
     def test_hessenberg_bandwidth(self, k):
         # (L+ - L-)^k is zero strictly below its k-th subdiagonal, with
         # parity holes on the skipped offsets
-        rep = AngularMomentumRep(8)
-        lp = build_ladder(rep, "plus")
-        lm = build_ladder(rep, "minus")
+        lp = build_ladder(8, "plus")
+        lm = build_ladder(8, "minus")
         P = lp.add(lm.scale(gr(-1))).power(k)
         offsets = {i - j for i in range(P.dim) for j in range(P.dim) if P.entries[i][j]}
         assert offsets <= {d for d in range(-k, k + 1) if (d - k) % 2 == 0}

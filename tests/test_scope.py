@@ -1,4 +1,5 @@
-"""Every name a package module exports is used by the package itself."""
+"""Every name a package module exports, and every function and method it
+defines, is used by the package itself."""
 
 import ast
 from pathlib import Path
@@ -7,9 +8,19 @@ import epspectra
 
 SRC = Path(epspectra.__file__).parent
 
-# bench/tracing.py hooks these two; they leave together with its hook list
-# (ROADMAP item 12)
-ALLOWED = {"spectra.exact_spectrum", "spectra.match_branches"}
+# names with no caller in the package, each kept for its caller outside it
+ALLOWED = {
+    # argparse calls it on a parse error
+    "cli._Parser.error",
+    # bench/tracing.py hooks these two; they leave together with its hook
+    # list (ROADMAP item 12)
+    "spectra.exact_spectrum",
+    "spectra.match_branches",
+    # bench/checks.py confirms each printed EP with it
+    "ep_locator._exact_count",
+    # bench/checks.py scales its tolerances by it
+    "operators.HamiltonianFamily.max_abs",
+}
 
 
 def _exports(tree) -> list:
@@ -29,6 +40,21 @@ def _defines(node, name) -> bool:
     return False
 
 
+def _functions(tree):
+    """(qualified name, def node) of every module-level function and method.
+
+    Dunder methods are left out: Python itself calls them.
+    """
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield f"{node.name}.{item.name}", item
+
+
 def _uses(tree, name, skip=()) -> bool:
     """Whether ``tree`` reads ``name`` as a Name or an Attribute outside ``skip``."""
     skipped = {id(n) for stmt in skip for n in ast.walk(stmt)}
@@ -37,15 +63,18 @@ def _uses(tree, name, skip=()) -> bool:
         for n in ast.walk(tree))
 
 
-def test_every_export_has_a_caller_in_the_package():
+def test_every_export_and_function_has_a_caller_in_the_package():
     # docstrings are string constants, and imports bind aliases, not Names:
-    # neither counts as a use
+    # neither counts as a use; nor does a function's use of itself
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     unused = set()
     for module, tree in trees.items():
-        for name in _exports(tree):
-            own = [stmt for stmt in tree.body if _defines(stmt, name)]
+        targets = {name: [stmt for stmt in tree.body if _defines(stmt, name)]
+                   for name in _exports(tree)}
+        targets.update((qualified, [node]) for qualified, node in _functions(tree))
+        for qualified, own in targets.items():
+            name = qualified.rpartition(".")[2]
             if not any(_uses(t, name, own if other == module else ())
                        for other, t in trees.items()):
-                unused.add(f"{module}.{name}")
+                unused.add(f"{module}.{qualified}")
     assert unused == ALLOWED
