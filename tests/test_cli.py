@@ -763,3 +763,13 @@ _DENSE_DIGESTS = {
 @pytest.mark.parametrize("command,N", list(_DENSE_DIGESTS), ids=lambda x: str(x))
 def test_dense_outputs_are_byte_identical(tmp_path, command, N):
     assert _output_digest(tmp_path, _DENSE_JOBS[command, N]) == _DENSE_DIGESTS[command, N]
+
+
+# sha256 of the full acceptance report, recorded before classify stopped
+# pairing eigenvalues and the exact route stopped computing its own scale.
+# Like the dense digests it pins the bits of this machine's LAPACK.
+_VERIFY_DIGEST = "16998bf48132d4dc4555f372226e1c36777ac7bfeb8f1df45f3822a5cdd2cd5a"
+
+
+def test_verify_report_is_byte_identical(tmp_path):
+    assert _output_digest(tmp_path, [["verify"]]) == _VERIFY_DIGEST
