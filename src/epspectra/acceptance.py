@@ -41,7 +41,7 @@ def criterion_c0_spectrum(tol_scale=1.0):
     N = 11
     tol = 1e-9 * N * tol_scale
     gammas = [Rational(2 * k) / 199 for k in range(200)]
-    rows, _ = spectra.exact_spectra(ModelParams(particles=N, v=1, c=0), "gamma", gammas)
+    rows = spectra.exact_spectra(ModelParams(particles=N, v=1, c=0), "gamma", gammas)
     worst = 0.0
     for g, ev in zip(gammas, rows):
         ana = spectra.analytic_c0_spectrum(ModelParams(particles=N, gamma=float(g), v=1.0, c=0.0))
@@ -186,7 +186,7 @@ def criterion_puiseux_scaling(tol_scale=1.0):
     """Triplet branches of N=11 fit a log-log slope 1/3 over c in [1e-6, 1e-4]."""
     N = 11
     cs = [Rational(1, 10**6) * 2**j for j in range(7)]
-    rows, _ = spectra.exact_spectra(ModelParams(particles=N, gamma=1, v=1), "c", cs)
+    rows = spectra.exact_spectra(ModelParams(particles=N, gamma=1, v=1), "c", cs)
     mods = np.sort(np.abs(rows), axis=1)
     logs_c = np.log(np.array([float(c) for c in cs]))
     tol = 0.02 * tol_scale
@@ -230,6 +230,12 @@ def criterion_strong_coupling(tol_scale=1.0):
     return decreasing, detail
 
 
+def _scale(params, gamma):
+    """max(1, max|H|) at ``params`` and ``gamma``, from ``HamiltonianFamily.scales``."""
+    family = build_generalized_hamiltonian(params, "orthonormal")
+    return float(family.scales("gamma", [float(gamma)])[0])
+
+
 def criterion_krein_suite(tol_scale=1.0):
     """Conjugation closure, gamma-sign symmetry, c=0 lambda -> -lambda closure."""
     rng = np.random.default_rng(20260809)
@@ -237,41 +243,47 @@ def criterion_krein_suite(tol_scale=1.0):
         N = int(rng.integers(2, 13))
         gamma = rat(float(rng.uniform(0.0, 2.0)))
         c = rat(float(rng.uniform(0.0, 1.5 / N)))
-        (ev, evm), scales = spectra.exact_spectra(
-            ModelParams(particles=N, v=1, c=c), "gamma", [gamma, -gamma])
-        tol = 1e-9 * scales[0] * tol_scale
+        params = ModelParams(particles=N, v=1, c=c)
+        ev, evm = spectra.exact_spectra(params, "gamma", [gamma, -gamma])
+        tol = 1e-9 * _scale(params, gamma) * tol_scale
         if spectra.optimal_match_distance(ev, np.conj(ev)) > tol:
             return False, f"trial {trial}: conjugation closure violated"
         if spectra.optimal_match_distance(ev, evm) > tol:
             return False, f"trial {trial}: gamma-sign symmetry violated"
-        ev0 = spectra.exact_spectra(ModelParams(particles=N, v=1, c=0), "gamma", [gamma])[0][0]
+        ev0 = spectra.exact_spectra(ModelParams(particles=N, v=1, c=0), "gamma", [gamma])[0]
         if spectra.optimal_match_distance(ev0, -ev0) > tol:
             return False, f"trial {trial}: c=0 sign closure violated"
     # the extra symmetry must break at c != 0
     N = 11
     evc = spectra.exact_spectra(
-        ModelParams(particles=N, v=1, c=rat("0.5") / N), "gamma", [rat("0.5")])[0][0]
+        ModelParams(particles=N, v=1, c=rat("0.5") / N), "gamma", [rat("0.5")])[0]
     asym = spectra.optimal_match_distance(evc, -evc)
     ok = asym > 1e-3
     return ok, f"50 draws closed under conjugation and gamma-sign; c!=0 asymmetry {asym:.3e}"
 
 
 def criterion_classification(tol_scale=1.0):
-    """Pair/real counts at gamma = 1 for N=11 (4+4 pairs) and N=5 (2+2)."""
-    (ev11,), (scale11,) = spectra.exact_spectra(
-        ModelParams(particles=11, v=1, c=rat("0.1") / 11), "gamma", [1])
-    cls11 = spectra.classify(ev11, imag_tol=1e-9 * scale11)
-    if (cls11.real_count, cls11.conjugate_pair_count) != (4, 4):
-        return False, f"N=11: {cls11.real_count} real + {cls11.conjugate_pair_count} pairs"
-    (ev5,), (scale5,) = spectra.exact_spectra(
-        ModelParams(particles=5, v=1, c=rat("0.1") / 5), "gamma", [1])
-    tol5 = 1e-9 * scale5
-    cls5 = spectra.classify(ev5, imag_tol=tol5)
-    if (cls5.real_count, cls5.conjugate_pair_count) != (2, 2):
-        return False, f"N=5: {cls5.real_count} real + {cls5.conjugate_pair_count} pairs"
-    reals = ev5[np.abs(ev5.imag) <= tol5]
-    pairs = ev5[ev5.imag > tol5]
-    ok = bool(np.all(reals.real < 0) and np.all(pairs.real > 0))
+    """Pair/real counts at gamma = 1 for N=11 (4+4 pairs) and N=5 (2+2).
+
+    Each pair must also be a conjugate pair: the optimal matching of the
+    upper values to the conjugates of the lower ones stays within
+    max(4 tol, 1e-10 max(1, max|lambda|)).
+    """
+    for N, expected in ((11, 4), (5, 2)):
+        params = ModelParams(particles=N, v=1, c=rat("0.1") / N)
+        (ev,) = spectra.exact_spectra(params, "gamma", [1])
+        tol = 1e-9 * _scale(params, 1)
+        pairs = int(spectra.classify(ev, tol))
+        if pairs != expected:
+            return False, f"N={N}: {N + 1 - 2 * pairs} real + {pairs} pairs"
+        residual = spectra.optimal_match_distance(ev[ev.imag > tol], np.conj(ev[ev.imag < -tol]))
+        bound = max(4.0 * tol, 1e-10 * max(1.0, float(np.abs(ev).max())))
+        if residual > bound:
+            return False, f"N={N}: conjugate pairing residual {residual:.3e} exceeds {bound:.3e}"
+    # the signs of the real parts, at N = 5
+    reals = ev[np.abs(ev.imag) <= tol]
+    upper = ev[ev.imag > tol]
+    ok = bool(np.all(reals.real < 0) and np.all(upper.real > 0))
     return ok, (
         "N=11: 4 real + 4 pairs; N=5: 2 negative real + 2 pairs with positive real parts"
     )

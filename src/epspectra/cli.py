@@ -20,7 +20,7 @@ import numpy as np
 # use them, so that spectrum and trajectory do not pay for their import
 from . import spectra
 from ._roots import NumericalError
-from .exact_poly import ParamPoly, charpoly_of_tridiagonal, rat
+from .exact_poly import ParamPoly, charpoly_of_tridiagonal, rat, rat_str
 from .operators import ModelParams, UsageError, build_generalized_hamiltonian
 
 __all__ = ["main"]
@@ -269,8 +269,8 @@ def cmd_charpoly(args) -> int:
     # tridiagonal in the monomial basis for every perturbation power
     cp = charpoly_of_tridiagonal(build_generalized_hamiltonian(params, "monomial"))
     lines = [
-        f"# characteristic polynomial, N={args.particles}, gamma={gamma}, v={v}, "
-        + ("c symbolic" if isinstance(c, ParamPoly) else f"c={c}"),
+        f"# characteristic polynomial, N={args.particles}, gamma={rat_str(gamma)}, "
+        f"v={rat_str(v)}, " + ("c symbolic" if isinstance(c, ParamPoly) else f"c={rat_str(c)}"),
         "# paper normalization: chi(lambda) = -sum_k p[M-k] lambda^k, p[0] = -1",
         *cp.render_paper(),
         "# monic normalization: det(lambda I - H), coefficient of each lambda power",

@@ -5,7 +5,7 @@ eigenvalue pairs. Each EP is a transition of that count along gamma, so a
 coarse scan plus bisection pins the position without ever minimizing an
 ill-conditioned eigenvalue gap. The count comes from real LAPACK solves of
 the real PT form of H, whose non-real eigenvalues come in exact conjugate
-pairs, so counting needs one threshold on Im and no pairing.
+pairs, so ``spectra.classify`` counts them with one threshold on Im.
 """
 
 from __future__ import annotations
@@ -65,10 +65,9 @@ class EPMap:
 
 
 def _exact_count(particles, gamma, v, c, tol):
-    """Conjugate pairs at one point on the exact route, classified at imaginary tolerance ``tol``."""
+    """Conjugate pairs at one point on the exact route: ``spectra.classify`` at tolerance ``tol``."""
     params = ModelParams(particles=particles, v=rat(float(v)), c=rat(float(c)))
-    (row,), _ = spectra.exact_spectra(params, "gamma", [float(gamma)])
-    return spectra.classify(row, imag_tol=tol, pair_tol=float("inf")).conjugate_pair_count
+    return int(spectra.classify(spectra.exact_spectra(params, "gamma", [float(gamma)])[0], tol))
 
 
 def _pair_count_fn(particles, v, c):
@@ -77,18 +76,19 @@ def _pair_count_fn(particles, v, c):
     The Hamiltonian is built once for (N, v, c). Each call writes only its
     gamma entries and eigensolves the whole list in stacked blocks of the
     real PT form (see ``spectra.stacked_spectra``), the same bits as one
-    point at a time. LAPACK returns every non-real eigenvalue of a real
-    matrix with its exact conjugate, so a point's count is the number of
-    eigenvalues with Im > 1e-7 * scale, with scale = max(1, max|H|) of the
-    complex H, counted on the rows in LAPACK's order, which the count does
-    not need sorted. There is no pairing to fail and no fallback.
+    point at a time. ``spectra.classify`` counts every row at once, in
+    LAPACK's order, which the count does not need sorted, at the tolerance
+    1e-7 * scale, with scale = max(1, max|H|) of the complex H
+    (``HamiltonianFamily.scales``). LAPACK returns every non-real
+    eigenvalue of a real matrix with its exact conjugate, so the count
+    never finds a row unbalanced, and there is no fallback.
     """
     family = build_generalized_hamiltonian(
         ModelParams(particles=particles, v=float(v), c=float(c)), "orthonormal")
 
     def counts(gammas) -> list:
         rows, scales = spectra.stacked_spectra(family, "gamma", gammas)
-        return (rows.imag > 1e-7 * scales[:, None]).sum(axis=1).tolist()
+        return spectra.classify(rows, 1e-7 * scales[:, None]).tolist()
 
     return counts
 

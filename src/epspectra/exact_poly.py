@@ -33,7 +33,8 @@ coefficients) and as the test oracle for the continuant.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 try:
@@ -44,6 +45,7 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
 __all__ = [
     "Rational",
     "rat",
+    "rat_str",
     "GaussianRational",
     "ParamPoly",
     "CharPoly",
@@ -52,7 +54,6 @@ __all__ = [
     "charpoly_of_tridiagonal",
     "monic_floats",
     "verify_trace_structure",
-    "TraceStructureReport",
 ]
 
 _ZERO = Rational(0)
@@ -82,6 +83,17 @@ def rat(value):
         f = Fraction(value)
         return Rational(f.numerator) / Rational(f.denominator)
     return Rational(value)
+
+
+def rat_str(q) -> str:
+    """``str(q)`` of a rational, on either backend and for any size.
+
+    ``fractions.Fraction`` formats its ints by ``str``, which refuses more
+    than 4,300 digits by default (``sys.set_int_max_str_digits``); Decimal
+    formats an int exactly, whatever its size.
+    """
+    num, den = (str(Decimal(int(x))) for x in (q.numerator, q.denominator))
+    return num if den == "1" else f"{num}/{den}"
 
 
 class GaussianRational:
@@ -133,11 +145,11 @@ class GaussianRational:
     def render(self):
         """Human-readable exact form, e.g. ``-4645/2`` or ``(1 + 3/2i)``."""
         if not self.im:
-            return str(self.re)
+            return rat_str(self.re)
         if not self.re:
-            return f"{self.im}i"
+            return f"{rat_str(self.im)}i"
         sign = "+" if self.im > 0 else "-"
-        return f"({self.re} {sign} {abs(self.im)}i)"
+        return f"({rat_str(self.re)} {sign} {rat_str(abs(self.im))}i)"
 
 
 class ParamPoly:
@@ -443,44 +455,22 @@ def charpoly_of_tridiagonal(tri: ExactTridiagonal) -> CharPoly:
                     param=tri.param)
 
 
-@dataclass
-class TraceStructureReport:
-    """Observed (j, coefficient) decomposition of traces and coefficients.
-
-    For the quadratic perturbation at the unfolding point, every monomial of
-    s_k and p_k must carry the parameter power k - 2j with 0 <= j <= k//3;
-    ``trace_terms[k]`` and ``coeff_terms[k]`` list the observed (j, coeff)
-    pairs.
-    """
-
-    dim: int
-    trace_terms: dict = field(default_factory=dict)
-    coeff_terms: dict = field(default_factory=dict)
-
-
-def verify_trace_structure(charpoly: CharPoly) -> TraceStructureReport:
+def verify_trace_structure(charpoly: CharPoly) -> None:
     """Assert the k - 2j exponent law on every s_k and p_k.
 
-    A violation signals an arithmetic bug in the exact pipeline, so it is a
-    hard AssertionError, not a soft report; it is raised explicitly so the
-    check also runs under ``python -O``.
+    For the quadratic perturbation at the unfolding point, every monomial
+    of s_k and p_k must carry the parameter power k - 2j with
+    0 <= j <= k//3. A violation signals an arithmetic bug in the exact
+    pipeline, so it is a hard AssertionError, not a soft report; it is
+    raised explicitly so the check also runs under ``python -O``.
     """
-    report = TraceStructureReport(dim=charpoly.dim)
-
-    def decompose(poly: ParamPoly, k: int, label: str):
-        terms = []
-        allowed = {k - 2 * j: j for j in range(k // 3 + 1) if k - 2 * j >= 0}
-        for e, coeff in sorted(poly.coeffs.items()):
-            if e not in allowed:
-                raise AssertionError(
-                    f"{label}_{k} contains parameter power {e}; "
-                    f"allowed powers are {sorted(allowed)}"
-                )
-            terms.append((allowed[e], coeff))
-        return terms
-
     traces = charpoly.traces()
     for k in range(1, charpoly.dim + 1):
-        report.coeff_terms[k] = decompose(charpoly.paper_coeffs[k], k, "p")
-        report.trace_terms[k] = decompose(traces[k], k, "s")
-    return report
+        allowed = {k - 2 * j for j in range(k // 3 + 1)}
+        for label, poly in (("p", charpoly.paper_coeffs[k]), ("s", traces[k])):
+            for e in sorted(poly.coeffs):
+                if e not in allowed:
+                    raise AssertionError(
+                        f"{label}_{k} contains parameter power {e}; "
+                        f"allowed powers are {sorted(allowed)}"
+                    )

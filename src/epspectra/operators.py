@@ -209,7 +209,10 @@ class HamiltonianFamily:
         ladders[n + 1, n] = ladders[n, n + 1] = np.sqrt((N - n) * (n + 1.0))
         self.tunneling = 2.0 * float(params.v) * (ladders / 2.0)
         self.lz = np.arange(self.dim) - N / 2.0
-        self.lz_k = self.lz**params.pert_power
+        # an overflowing value leaves inf or nan in the matrix, which
+        # ``spectra.eigenvalues`` reports with the point that produced it
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.lz_k = self.lz**params.pert_power
         # |H| off the diagonal, the floor of every scale
         self._floor = max(1.0, float(np.abs(self.tunneling).max()))
         self._template = self.tunneling
@@ -231,8 +234,6 @@ class HamiltonianFamily:
             q = N - p
             self._anti_at = np.concatenate([p * self.dim + q, q * self.dim + p])
             self._anti_lz = np.concatenate([self.lz[p], -self.lz[p]])
-            # an overflowing value leaves inf or nan in the matrix, which
-            # ``spectra.eigenvalues`` reports with the point that produced it
             with np.errstate(over="ignore", invalid="ignore"):
                 self._fixed = {"gamma": self._real_diagonal(self.c),
                                "c": 2.0 * self.gamma * self._anti_lz}

@@ -1,4 +1,4 @@
-"""Floating-point spectra, parameter sweeps, branch matching, classification.
+"""Floating-point spectra, parameter sweeps, branch matching, pair counts.
 
 Two eigenvalue routes are kept deliberately independent:
 
@@ -22,8 +22,10 @@ the real PT form of H, by real LAPACK (dgeev), at half the cost of a
 complex solve and with every non-real eigenvalue paired with its exact
 conjugate; for odd k, which has no PT symmetry, the complex H by zgeev.
 Sweeps, trajectories and the EP locator's pair counts all go through
-``stacked_spectra``. Branch matching and ``classify`` pair eigenvalues by
-the package's own optimal assignment, ``_roots.min_cost_assignment``.
+``stacked_spectra``. Both routes are counted by ``classify``, at a
+tolerance on the one scale max(1, max|H|) of ``HamiltonianFamily.scales``.
+Branch matching pairs eigenvalues by the package's own optimal
+assignment, ``_roots.min_cost_assignment``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "SpectralError",
     "ClassificationError",
     "Trajectory",
-    "Classification",
     "eigenvalues",
     "exact_spectra",
     "exact_spectrum",
@@ -104,34 +105,24 @@ def exact_spectrum(tri: ExactTridiagonal) -> np.ndarray:
 
 
 def exact_spectra(params: ModelParams, vary: str, values):
-    """Sorted eigenvalues and scale max(1, max|H|) of the exact H at each value of ``vary``.
+    """Sorted eigenvalues of the exact H at each value of ``vary``.
 
     ``stacked_spectra`` on the exact route, with the same bits as
     ``exact_spectrum`` of each point's matrix: each value of ``vary``
     ("gamma" or "c") taken exactly, with ``params`` fixing the other, gives
     the monomial-basis H (``build_generalized_hamiltonian``), its continuant
     gives correctly rounded monic coefficients, and one stacked
-    ``polynomial_roots`` solves them.
-
-    The scale is max|H| of the monomial-basis H, whose tunneling entries
-    peak at |v| N. ``stacked_spectra`` scales by the orthonormal H, where
-    they peak at about |v| (N+1)/2 (at N = 11 and gamma <= 1/2 the scales
-    are 11 and 6), so a tolerance on this scale is not one on the dense
-    route's.
+    ``polynomial_roots`` solves them. A tolerance on these rows takes its
+    scale from ``HamiltonianFamily.scales`` at the same point, as on the
+    dense route.
     """
     if vary not in ("gamma", "c"):
         raise ValueError("vary must be 'gamma' or 'c'")
-    v = rat(params.v)  # the largest off-diagonal |H| is |v| N, correctly rounded by int division
-    tunneling = abs(int(v.numerator)) * params.particles / int(v.denominator)
-    rows, scales = [], []
-    for x in values:
-        tri = build_generalized_hamiltonian(replace(params, **{vary: rat(x)}), "monomial")
-        rows.append(monic_floats(tri))
-        diag = [complex(re / tri.D, im / tri.D) for (re, im), in tri.diag]
-        scales.append(max(1.0, tunneling, float(np.abs(np.array(diag)).max())))
+    points = (replace(params, **{vary: rat(x)}) for x in values)
+    rows = [monic_floats(build_generalized_hamiltonian(p, "monomial")) for p in points]
     if not rows:
-        return np.empty((0, params.particles + 1), dtype=complex), np.empty(0)
-    return _sorted_eigs(np.array(polynomial_roots(np.array(rows)))), np.array(scales)
+        return np.empty((0, params.particles + 1), dtype=complex)
+    return _sorted_eigs(np.array(polynomial_roots(np.array(rows))))
 
 
 def analytic_c0_spectrum(params: ModelParams) -> np.ndarray:
@@ -157,12 +148,6 @@ class Trajectory:
     branch: int
     parameters: np.ndarray
     values: np.ndarray
-
-
-@dataclass(frozen=True)
-class Classification:
-    real_count: int
-    conjugate_pair_count: int
 
 
 def stacked_spectra(family, vary: str, values):
@@ -205,7 +190,12 @@ def sweep(params: ModelParams, vary: str, grid) -> np.ndarray:
 
 
 def optimal_match_distance(a, b) -> float:
-    """Max pair distance under the optimal assignment of two eigenvalue sets."""
+    """Max pair distance under the optimal assignment of two eigenvalue sets.
+
+    Not ``_match_step``, whose median costs about 19 us a call and, on
+    first use, imports ``numpy.ma`` (about 1 MiB), which the exact route
+    otherwise never loads.
+    """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     cost = np.abs(a[:, None] - b[None, :])
@@ -314,31 +304,21 @@ def matched_sweep(params: ModelParams, vary: str, grid, max_levels: int = 12,
     return _trajectories(points, spectra), unresolved
 
 
-def classify(vals, imag_tol, pair_tol=None) -> Classification:
-    """Split a PT-symmetric spectrum into real values and conjugate pairs.
+def classify(vals, imag_tol):
+    """The number of conjugate pairs of a PT-symmetric spectrum, per row of a stack.
 
-    Eigenvalues with |Im| <= imag_tol count as real; the rest must pair
-    under conjugation, else the Krein symmetry is numerically violated and
-    an error is raised. ``pair_tol`` bounds the pairing residual, by default
-    max(4 imag_tol, 1e-10 * scale) with scale = max(1, max|lambda|); the
-    exact count of the EP locator passes inf, to check only the balance.
-    Spectra of a real PT form need none of this: their pairs are exact.
+    A row's count is the number of its eigenvalues with Im > ``imag_tol``;
+    |Im| <= ``imag_tol`` counts as real. ``imag_tol`` broadcasts against
+    the rows, so a stack may carry one tolerance per row. A row with a
+    different number of eigenvalues below -``imag_tol`` violates the Krein
+    symmetry and raises ClassificationError. The dense route's real PT
+    form pairs exactly, so there only the tolerance decides.
     """
-    vals = np.asarray(vals, dtype=complex)
-    real_mask = np.abs(vals.imag) <= imag_tol
-    upper = vals[~real_mask & (vals.imag > 0)]
-    lower = vals[~real_mask & (vals.imag < 0)]
-    if len(upper) != len(lower):
-        raise ClassificationError(
-            f"unpaired non-real eigenvalues: {len(upper)} above vs {len(lower)} below axis"
-        )
-    if len(upper):
-        cost = np.abs(upper[:, None] - np.conj(lower)[None, :])
-        residual = cost[np.arange(len(upper)), min_cost_assignment(cost)].max()
-        if pair_tol is None:
-            pair_tol = max(4.0 * imag_tol, 1e-10 * max(1.0, float(np.abs(vals).max())))
-        if residual > pair_tol:
-            raise ClassificationError(
-                f"conjugate pairing residual {residual:.3e} exceeds {pair_tol:.3e}"
-            )
-    return Classification(real_count=int(real_mask.sum()), conjugate_pair_count=len(upper))
+    im = np.asarray(vals).imag
+    above, below = (im > imag_tol).sum(axis=-1), (im < -imag_tol).sum(axis=-1)
+    unbalanced = above != below
+    if unbalanced.any():
+        i = np.flatnonzero(unbalanced)[0]
+        raise ClassificationError(f"unpaired non-real eigenvalues: {np.ravel(above)[i]} above "
+                                  f"vs {np.ravel(below)[i]} below axis")
+    return above

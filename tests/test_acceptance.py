@@ -4,9 +4,10 @@ Run with ``pytest -s tests/test_acceptance.py`` to see one PASS/FAIL line
 per criterion (the same report the ``epspectra verify`` command prints).
 """
 
+import numpy as np
 import pytest
 
-from epspectra import acceptance
+from epspectra import acceptance, spectra
 
 _RESULTS = {}
 
@@ -39,3 +40,20 @@ def test_zero_tolerance_self_check():
     # with tolerances zeroed out the floating criteria must fail loudly
     results = acceptance.run(keys=["c0-spectrum", "puiseux-scaling"], tol_scale=0.0)
     assert not any(r.passed for r in results)
+
+
+def test_classification_fails_on_a_pairing_residual(monkeypatch):
+    # moving one pair's lower value off its conjugate keeps the count
+    # balanced; the criterion's own pairing check must still fail it
+    original = spectra.exact_spectra
+
+    def exact_spectra(params, vary, values):
+        rows = original(params, vary, values)
+        row = rows[0]
+        lower = np.flatnonzero(row.imag < -1e-3)[0]
+        row[lower] += 1e-6
+        return rows
+
+    monkeypatch.setattr(spectra, "exact_spectra", exact_spectra)
+    passed, detail = acceptance.criterion_classification()
+    assert not passed and detail.startswith("N=11: conjugate pairing residual")

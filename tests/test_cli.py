@@ -18,7 +18,8 @@ import epspectra
 from epspectra import cli, ep_locator, spectra
 from epspectra._roots import RootFindingError
 from epspectra.cli import main, parse_range
-from epspectra.operators import UsageError
+from epspectra.exact_poly import ParamPoly, charpoly_of_tridiagonal
+from epspectra.operators import ModelParams, UsageError, build_generalized_hamiltonian
 
 
 def run_cli(tmp_path, *args, name="out.txt"):
@@ -514,10 +515,13 @@ class TestExitCodes:
         ["spectrum", "-N", "3", "--gamma", "0:1e308:3", "--c", "1"],
         ["spectrum", "-N", "4", "--gamma", "0:1:3", "--c", "1e308"],
         ["trajectory", "-N", "4", "--gamma", "1", "--c", "1e300:1e308:3:log"],
+        ["spectrum", "-N", "11", "--c", "0.01", "--gamma", "0:1:3", "--pert-power", "2000"],
+        ["trajectory", "-N", "11", "--gamma", "0.5", "--c", "0.01:1:3", "--pert-power", "2000"],
     ])
     def test_overflow_is_one_numerical_failure_line(self, argv, capsys):
-        # the overflowing diagonal is reported by the eigensolver guard
-        # alone, with no numpy warning before it
+        # the overflowing diagonal, or the overflowing m^k of a large k, is
+        # reported by the eigensolver guard alone, with no numpy warning
+        # before it
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -540,6 +544,30 @@ class TestExitCodes:
         exact = str(10**400) if v == "1e400" else f"1/{10**400}"
         assert f"v={exact}, c symbolic" in captured.out and captured.err == ""
         assert "\nlambda^4: 1\n" in captured.out
+
+    def test_charpoly_prints_ints_beyond_the_str_digit_limit(self, capsys):
+        # m^1000 gives coefficients of up to ~9,000 digits, beyond the 4,300
+        # that str() of a Fraction's int allows by default; both backends
+        # print every digit, those of str() with the limit lifted
+        argv = ["charpoly", "-N", "12", "--gamma", "1", "--pert-power", "1000"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        params = ModelParams(particles=12, gamma=1, c=ParamPoly.monomial(1, 1), pert_power=1000)
+        cp = charpoly_of_tridiagonal(build_generalized_hamiltonian(params, "monomial"))
+        parts = [abs(x) for p in cp.monic_coefficients() for g in p.coeffs.values()
+                 for x in (g.re, g.im) if x]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            digits = [str(x) for x in parts]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert max(map(len, digits)) > 4300
+        assert all(d in captured.out for d in digits)
+        # and so does the header, of a parameter given with 5,001 digits
+        assert main(["charpoly", "-N", "1", "--gamma", "1e5000"]) == 0
+        assert f"gamma=1{'0' * 5000}, v=1," in capsys.readouterr().out
 
     def test_charpoly_rejects_format(self):
         assert main(["charpoly", "--particles", "3", "--gamma", "1", "--format", "json"]) == 1

@@ -39,6 +39,11 @@ def float_hamiltonian(N, gamma, v=1.0, c=0.0):
         ModelParams(particles=N, gamma=gamma, v=v, c=c), "orthonormal")
 
 
+def _scale(N, gamma, c):
+    """max(1, max|H|) at v = 1, the one scale of both routes' tolerances."""
+    return float_hamiltonian(N, 0.0, 1.0, float(c)).scales("gamma", [float(gamma)])[0]
+
+
 class TestEigenvalues:
     def test_hermitian_ladder_spectrum(self):
         # gamma = 0, c = 0: H = 2 v L_x with eigenvalues n v
@@ -70,7 +75,7 @@ class TestEigenvalues:
         fixed = build_generalized_hamiltonian(
             ModelParams(particles=3, gamma=1, v=1, c=rat("1/50")), "monomial")
         assert np.array_equal(
-            exact_spectra(ModelParams(particles=3, gamma=1, v=1), "c", [rat("1/50")])[0][0],
+            exact_spectra(ModelParams(particles=3, gamma=1, v=1), "c", [rat("1/50")])[0],
             exact_spectrum(fixed))
 
     def test_backward_stability_contract(self):
@@ -251,7 +256,7 @@ _exact_numbers = st.fractions(min_value=-3, max_value=3, max_denominator=40).map
 
 
 def _dense_oracle(H):
-    """Sorted roots, and max(1, max|H|), from a dense exact H and its Faddeev-LeVerrier polynomial."""
+    """Sorted roots of a dense exact H's Faddeev-LeVerrier polynomial."""
 
     def to_float(g):
         return complex(float(Fraction(int(g.re.numerator), int(g.re.denominator))),
@@ -260,8 +265,7 @@ def _dense_oracle(H):
     row = [to_float(p.coeffs[0]) if p else 0j
            for p in faddeev_leverrier(H).monic_coefficients()]
     roots = polynomial_roots(np.array(row))
-    entries = np.abs([to_float(p.coeffs[0]) if p else 0j for r in H.entries for p in r])
-    return roots[np.lexsort((roots.imag, roots.real))], max(1.0, float(entries.max()))
+    return roots[np.lexsort((roots.imag, roots.real))]
 
 
 class TestExactSpectra:
@@ -272,10 +276,10 @@ class TestExactSpectra:
     @example(N=14, k=4, gamma=Rational(-3), v=Rational(1, 3), c=Rational(-5, 7), vary="c")
     def test_matches_dense_oracle(self, N, k, gamma, v, c, vary, composed):
         params = ModelParams(particles=N, gamma=gamma, v=v, c=c, pert_power=k)
-        expected, scale = _dense_oracle(composed(params))
-        (got,), (got_scale,) = exact_spectra(
+        expected = _dense_oracle(composed(params))
+        (got,) = exact_spectra(
             replace(params, **{vary: 99}), vary, [params.gamma if vary == "gamma" else c])
-        assert got.tobytes() == expected.tobytes() and got_scale == scale
+        assert got.tobytes() == expected.tobytes()
         H = build_generalized_hamiltonian(params, "monomial")
         assert exact_spectrum(H).tobytes() == expected.tobytes()
 
@@ -285,19 +289,18 @@ class TestExactSpectra:
         calls = []
         monkeypatch.setattr(spectra, "polynomial_roots",
                             lambda rows, f=polynomial_roots: calls.append(len(rows)) or f(rows))
-        rows, scales = exact_spectra(params, "gamma", gammas)
+        rows = exact_spectra(params, "gamma", gammas)
         assert calls == [len(gammas)] and rows.shape == (len(gammas), 12)
-        for g, row, scale in zip(gammas, rows, scales):
-            (one,), (one_scale,) = exact_spectra(params, "gamma", [g])
-            assert one.tobytes() == row.tobytes() and one_scale == scale
+        for g, row in zip(gammas, rows):
+            (one,) = exact_spectra(params, "gamma", [g])
+            assert one.tobytes() == row.tobytes()
 
     def test_needs_a_value_of_c(self):
         with pytest.raises(ValueError, match="value of c"):
             exact_spectra(ModelParams(particles=3, c=ParamPoly.monomial(1, 1)), "gamma", [1])
         with pytest.raises(ValueError):
             exact_spectra(ModelParams(particles=3), "v", [1])
-        rows, scales = exact_spectra(ModelParams(particles=3), "c", [])
-        assert rows.shape == (0, 4) and scales.shape == (0,)
+        assert exact_spectra(ModelParams(particles=3), "c", []).shape == (0, 4)
 
 
 class TestAnalyticC0:
@@ -585,23 +588,36 @@ class TestClassification:
         # real symmetric tridiagonal with nonzero off-diagonals: distinct reals
         H = float_hamiltonian(12, 0.0, 1.0, 0.3)
         ev = eigenvalues(H.array)
-        cls = classify(ev, imag_tol=1e-9 * max(1.0, H.max_abs()))
-        assert cls.real_count == 13 and cls.conjugate_pair_count == 0
+        assert classify(ev, imag_tol=1e-9 * max(1.0, H.max_abs())) == 0
         assert np.all(np.diff(np.sort(ev.real)) > 1e-8)
 
     def test_unpaired_raises(self):
         with pytest.raises(ClassificationError):
             classify(np.array([1 + 1j, 2 + 2j, 3.0]), imag_tol=1e-12)
 
-    def test_pair_residual_guard(self):
-        vals = np.array([1 + 1j, 2 - 1j])  # conjugates of nothing
-        with pytest.raises(ClassificationError):
-            classify(vals, imag_tol=1e-12)
-
     def test_counts_invariant(self):
         H = float_hamiltonian(11, 1.0, 1.0, 0.1 / 11)
-        cls = classify(eigenvalues(H.array), imag_tol=1e-7 * max(1.0, H.max_abs()))
-        assert cls.real_count + 2 * cls.conjugate_pair_count == 12
+        ev = eigenvalues(H.array)
+        tol = 1e-7 * max(1.0, H.max_abs())
+        assert np.count_nonzero(np.abs(ev.imag) <= tol) + 2 * classify(ev, imag_tol=tol) == 12
+
+    def test_stack_counts_row_by_row_as_the_ep_locator(self):
+        # one tolerance per row broadcasts against a stack; each row's count
+        # is its one-row count, and the EP locator's counter is this count
+        grid = np.linspace(0.0, 7.0, 200).tolist()
+        family = build_generalized_hamiltonian(ModelParams(particles=11, v=1.0, c=0.1 / 11))
+        rows, scales = spectra.stacked_spectra(family, "gamma", grid)
+        stacked = classify(rows, 1e-7 * scales[:, None])
+        assert stacked.shape == (200,)
+        assert stacked.tolist() == [int(classify(r, 1e-7 * s)) for r, s in zip(rows, scales)]
+        assert stacked.tolist() == ep_locator._pair_count_fn(11, 1, 0.1 / 11)(grid)
+        assert 0 < stacked.max() == 6
+
+    def test_unbalanced_row_in_a_stack_raises(self):
+        rows = np.array([[1 + 1j, 1 - 1j, 3.0], [1 + 1j, 2 + 2j, 3.0], [1.0, 2.0, 3.0]])
+        assert classify(rows[[0, 2]], 1e-12).tolist() == [1, 0]
+        with pytest.raises(ClassificationError, match="2 above vs 0 below"):
+            classify(rows, np.full((3, 1), 1e-12))
 
 
 class TestKreinSymmetries:
@@ -611,8 +627,8 @@ class TestKreinSymmetries:
             N = int(rng.integers(2, 11))
             g = rat(float(rng.uniform(0, 2)))
             c = rat(float(rng.uniform(0, 1.0 / N)))
-            (ev,), (scale,) = exact_spectra(ModelParams(particles=N, v=1, c=c), "gamma", [g])
-            assert optimal_match_distance(ev, np.conj(ev)) <= 1e-9 * scale
+            (ev,) = exact_spectra(ModelParams(particles=N, v=1, c=c), "gamma", [g])
+            assert optimal_match_distance(ev, np.conj(ev)) <= 1e-9 * _scale(N, g, c)
 
     def test_gamma_sign_symmetry(self):
         H = build_generalized_hamiltonian(
@@ -623,8 +639,8 @@ class TestKreinSymmetries:
 
     def test_sign_closure_only_at_c_zero(self):
         N = 11
-        (ev0,), (scale,) = exact_spectra(ModelParams(particles=N, v=1, c=0), "gamma", [rat("0.5")])
-        assert optimal_match_distance(ev0, -ev0) <= 1e-9 * scale
+        (ev0,) = exact_spectra(ModelParams(particles=N, v=1, c=0), "gamma", [rat("0.5")])
+        assert optimal_match_distance(ev0, -ev0) <= 1e-9 * _scale(N, 0.5, 0)
         Hc = build_generalized_hamiltonian(
             ModelParams(particles=N, gamma=rat("0.5"), v=1, c=rat("0.5") / N), "monomial"
         )
