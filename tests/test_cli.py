@@ -775,22 +775,45 @@ _DENSE_JOBS = {
                         for fmt in ("csv", "text", "json")],
     ("ep-map", 11): [["ep-map", "-N", "11", "--c", "0.004:7.3:24:log", "--format", fmt]
                      for fmt in ("csv", "json")],
+    ("spectrum-json", 11): [["spectrum", "--particles", "11", "--v", "1", "--c", "0.00909090909",
+                             "--gamma", "0:1.5:500", "--format", "json"]],
+    ("spectrum-json", 40): [["spectrum", "-N", "40", "--c", "0.0025", "--gamma", "0:1.5:50",
+                             "--format", "json"]],
 }
 # sha256 of each group's jobs, recorded before the tables were rendered from
 # templates; the renderer must not change one output byte. The ep-map job,
 # the README map, was recorded before the pair counter stopped sorting rows.
-# Like the others it pins the bits of this machine's LAPACK.
+# Like the others it pins the bits of this machine's LAPACK. The spectrum
+# JSON jobs were recorded before the dense commands wrote their output as
+# it was rendered.
 _DENSE_DIGESTS = {
     ("spectrum", 11): "33e91f42fe8a5a60a6875c726e82e973e7d5c58cb973124c23142618446ea4f6",
     ("spectrum", 40): "fb7949eab1c39f01203bae7f7c8f058e1c750df0da5e17aa2ae9c391163e1eb3",
     ("trajectory", 5): "2ecd5cae11814c5742067b132550280bce883800ecd614ac5cba1bbea6a8e418",
     ("ep-map", 11): "2973a8bef95e812d0a742fe595c372d96577102c865049a1e89d881abda2c7cb",
+    ("spectrum-json", 11): "a8e72cc7a967ee15e05e4420d6758a24f715b15083e7b851ba689980d87f7983",
+    ("spectrum-json", 40): "2087fb39ca0ec98473973f4c491aafa3d34fcb880f3a2d6742b605a62b2e2e5f",
 }
 
 
 @pytest.mark.parametrize("command,N", list(_DENSE_DIGESTS), ids=lambda x: str(x))
 def test_dense_outputs_are_byte_identical(tmp_path, command, N):
     assert _output_digest(tmp_path, _DENSE_JOBS[command, N]) == _DENSE_DIGESTS[command, N]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text", "json"])
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "-N", "5", "--c", "0.3", "--gamma", "0:1.2:7"],
+    ["trajectory", "-N", "5", "--gamma", "1", "--c", "0.0004:0.04:20:log"],
+], ids=["spectrum", "trajectory"])
+def test_output_file_has_the_bytes_of_stdout(tmp_path, capsys, argv, fmt):
+    argv = argv + ["--format", fmt]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main(argv + ["-o", str(out)]) == 0
+    assert capsys.readouterr().out == "" and len(printed) > 500
+    assert out.read_bytes() == printed.encode()
 
 
 # sha256 of the full acceptance report, recorded before classify stopped
