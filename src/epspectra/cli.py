@@ -128,13 +128,14 @@ def _float(text: str) -> float:
     return float(value)
 
 
-def _write(path, text):
+def _write(path, pieces):
+    """Write each string of ``pieces`` as it comes, to ``path`` or, for '-', stdout."""
     if path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise UsageError(f"cannot write {path!r}: {exc.strerror}")
 
@@ -163,35 +164,40 @@ def _json_doc(obj) -> str:
     return _json_value(obj) + "\n"
 
 
+def _json_rows(meta: dict, key: str, rows):
+    """The pieces of ``_json_doc({"metadata": meta, key: [...]})``, each row rendered already."""
+    yield f'{{"metadata": {_json_value(meta)}, "{key}": ['
+    for i, row in enumerate(rows):
+        yield ", " + row if i else row
+    yield "]}\n"
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
-def _table(param_header, grid, rows, fmt) -> str:
+def _table(param_header, grid, rows, fmt):
     """Point-major ``param,branch,re,im`` lines, comma-separated for csv, else spaces.
 
-    ``rows`` is the complex (points, branches) array. Each grid point's
-    lines come from one template, filled first with the point's value and
-    then with the re, im of every branch in turn: C-level ``%.17g``, the
-    same bytes as ``_fmt``.
+    ``rows`` is the complex (points, branches) array. Yields the header
+    line, then one string per grid point: its lines, from one template
+    filled first with the point's value and then with the re, im of every
+    branch in turn, by C-level ``%.17g``, the same bytes as ``_fmt``.
     """
     sep = "," if fmt == "csv" else " "
-    template = "\n".join(sep.join(("%(x)s", str(b), "%%.17g", "%%.17g"))
-                         for b in range(rows.shape[1]))
-    # one string per grid point, so the rows' lines do not all live at once
-    lines = [sep.join((param_header, "branch", "re", "im"))]
+    template = "".join(sep.join(("%(x)s", str(b), "%%.17g", "%%.17g\n"))
+                       for b in range(rows.shape[1]))
+    yield sep.join((param_header, "branch", "re", "im\n"))
     for x, row in zip(grid, rows):
-        lines.append(template % {"x": _fmt(x)} % tuple(row.view(float).tolist()))
-    return "\n".join(lines) + "\n"
+        yield template % {"x": _fmt(x)} % tuple(row.view(float).tolist())
 
 
-def _branch_table(trajectories) -> str:
-    """Branch-major ``c branch re im`` lines, one template per branch."""
-    lines = ["c branch re im"]
+def _branch_table(trajectories):
+    """Branch-major ``c branch re im`` lines: the header, then one string per branch."""
+    yield "c branch re im\n"
     for t in trajectories:
-        line = f"%.17g {t.branch} %.17g %.17g"
-        lines.extend(line % (p, z.real, z.imag)
-                     for p, z in zip(t.parameters.tolist(), t.values.tolist()))
-    return "\n".join(lines) + "\n"
+        line = f"%.17g {t.branch} %.17g %.17g\n"
+        yield "".join(line % (p, z.real, z.imag)
+                      for p, z in zip(t.parameters.tolist(), t.values.tolist()))
 
 
 def cmd_spectrum(args) -> int:
@@ -202,21 +208,14 @@ def cmd_spectrum(args) -> int:
     grid = rng.checked_grid(args.particles)
     rows = spectra.sweep(params, "gamma", grid)
     if args.format == "json":
-        doc = {
-            "metadata": {"N": args.particles, "v": v, "c": c, "vary": "gamma",
-                         "grid": rng.meta()},
-            "spectra": [
-                {
-                    "param": float(x),
-                    "eigenvalues": [{"re": float(z.real), "im": float(z.imag)} for z in row],
-                }
-                for x, row in zip(grid, rows)
-            ],
-        }
-        text = _json_doc(doc)
+        point = ('{"param": %.17g, "eigenvalues": ['
+                 + ", ".join(['{"re": %.17g, "im": %.17g}'] * rows.shape[1]) + "]}")
+        meta = {"N": args.particles, "v": v, "c": c, "vary": "gamma", "grid": rng.meta()}
+        pieces = _json_rows(meta, "spectra", (point % (x, *row.view(float).tolist())
+                                              for x, row in zip(grid.tolist(), rows)))
     else:
-        text = _table("param", grid, rows, args.format)
-    _write(args.output, text)
+        pieces = _table("param", grid, rows, args.format)
+    _write(args.output, pieces)
     return 0
 
 
@@ -228,31 +227,19 @@ def cmd_trajectory(args) -> int:
     trajectories, unresolved = spectra.matched_sweep(params, "c", rng.checked_grid(args.particles))
     if args.format == "csv":
         rows = np.column_stack([t.values for t in trajectories])
-        text = _table("c", trajectories[0].parameters, rows, "csv")
+        pieces = _table("c", trajectories[0].parameters, rows, "csv")
     elif args.format == "json":
-        doc = {
-            "metadata": {
-                "N": args.particles,
-                "v": v,
-                "gamma": gamma,
-                "grid": rng.meta(),
-                "unresolved_steps": [list(u) for u in unresolved],
-            },
-            "trajectories": [
-                {
-                    "branch": t.branch,
-                    "points": [
-                        {"c": float(p), "re": float(z.real), "im": float(z.imag)}
-                        for p, z in zip(t.parameters, t.values)
-                    ],
-                }
-                for t in trajectories
-            ],
-        }
-        text = _json_doc(doc)
+        meta = {"N": args.particles, "v": v, "gamma": gamma, "grid": rng.meta(),
+                "unresolved_steps": [list(u) for u in unresolved]}
+        point = '{"c": %.17g, "re": %.17g, "im": %.17g}'
+        pieces = _json_rows(meta, "trajectories", (
+            f'{{"branch": {t.branch}, "points": ['
+            + ", ".join(point % (p, z.real, z.imag)
+                        for p, z in zip(t.parameters.tolist(), t.values.tolist())) + "]}"
+            for t in trajectories))
     else:
-        text = _branch_table(trajectories)
-    _write(args.output, text)
+        pieces = _branch_table(trajectories)
+    _write(args.output, pieces)
     if unresolved:
         sys.stderr.write(f"note: {len(unresolved)} step(s) unresolved at refinement floor\n")
     return 0
@@ -276,7 +263,7 @@ def cmd_charpoly(args) -> int:
         "# monic normalization: det(lambda I - H), coefficient of each lambda power",
         *cp.render_monic(),
     ]
-    _write(args.output, "\n".join(lines) + "\n")
+    _write(args.output, (line + "\n" for line in lines))
     return 0
 
 
@@ -326,7 +313,7 @@ def cmd_newton(args) -> int:
             },
             "observed_ring_sizes": {str(s): n for s, n in sorted(observed.items())},
         }
-        _write(args.output, _json_doc(doc))
+        _write(args.output, [_json_doc(doc)])
         return 0
     lines = [f"# Newton-Puiseux unfolding, N={args.particles}, perturbation power k={k} "
              f"(parameter {cp.param})"]
@@ -350,7 +337,7 @@ def cmd_newton(args) -> int:
         f" + remainder {pred.remainder};"
         f" observed sizes {dict(sorted(observed.items()))}"
     )
-    _write(args.output, "\n".join(lines) + "\n")
+    _write(args.output, (line + "\n" for line in lines))
     return 0
 
 
@@ -386,13 +373,13 @@ def cmd_ep_map(args) -> int:
                 for c, recs in zip(emap.c_values, emap.records)
             ],
         }
-        _write(args.output, _json_doc(doc))
+        _write(args.output, [_json_doc(doc)])
         return 0
     lines = ["c,index,gamma_tilde,order,method"]
     for c, recs in zip(emap.c_values, emap.records):
         for i, r in enumerate(recs):
             lines.append(f"{_fmt(c)},{i},{_fmt(r.gamma)},{r.order},{r.method}")
-    _write(args.output, "\n".join(lines) + "\n")
+    _write(args.output, (line + "\n" for line in lines))
     return 0
 
 
@@ -403,7 +390,7 @@ def cmd_verify(args) -> int:
     tol_scale = 0.0 if args.zero_tolerance else 1.0
     buf = []
     ok = acceptance.main_report(keys=keys, tol_scale=tol_scale, write=buf.append)
-    _write(args.output, "\n".join(buf) + "\n")
+    _write(args.output, (line + "\n" for line in buf))
     return 0 if ok else 3
 
 

@@ -213,6 +213,7 @@ class HamiltonianFamily:
         # ``spectra.eigenvalues`` reports with the point that produced it
         with np.errstate(over="ignore", invalid="ignore"):
             self.lz_k = self.lz**params.pert_power
+        self._lz_k_overflowed = not np.isfinite(self.lz_k).all()
         # |H| off the diagonal, the floor of every scale
         self._floor = max(1.0, float(np.abs(self.tunneling).max()))
         self._template = self.tunneling
@@ -240,7 +241,7 @@ class HamiltonianFamily:
 
     def _real_diagonal(self, c):
         # R's own diagonal is added, not written over: 2 c m^k may be -0.0
-        return 2.0 * c * self.lz_k + self._template.diagonal()
+        return self._interaction(c) + self._template.diagonal()
 
     def stack(self, vary: str, values) -> np.ndarray:
         """H, or for even k its real PT form, at each value of ``vary`` ("gamma" or "c").
@@ -271,7 +272,14 @@ class HamiltonianFamily:
         """-2i gamma m + 2 c m^k, the diagonal of the complex H at indices n."""
         gamma, c = (x, self.c) if vary == "gamma" else (self.gamma, x)
         with np.errstate(over="ignore", invalid="ignore"):
-            return -2j * gamma * self.lz[n] + 2.0 * c * self.lz_k[n]
+            return -2j * gamma * self.lz[n] + self._interaction(c, n)
+
+    def _interaction(self, c, n=slice(None)):
+        """2 c m^k at indices n, an exact zero where c is zero, though m^k overflowed."""
+        if self._lz_k_overflowed:
+            # 0 inf is nan; a zero c takes only the sign of m^k, which np.sign keeps
+            return np.where(c == 0, 2.0 * c * np.sign(self.lz_k[n]), 2.0 * c * self.lz_k[n])
+        return 2.0 * c * self.lz_k[n]
 
     def scales(self, vary: str, values) -> np.ndarray:
         """max(1, max|H|) of the complex H at each value of ``vary``.

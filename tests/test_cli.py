@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -172,7 +173,7 @@ class TestRenderingIsByteIdentical:
         flat = data.draw(st.lists(_FLOATS, min_size=2 * width * points,
                                   max_size=2 * width * points))
         rows = np.array(flat).reshape(points, 2 * width).view(complex)
-        assert cli._table("param", grid, rows, fmt) == _table_oracle("param", grid, rows, fmt)
+        assert "".join(cli._table("param", grid, rows, fmt)) == _table_oracle("param", grid, rows, fmt)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -185,7 +186,7 @@ class TestRenderingIsByteIdentical:
         values = np.array(flat).reshape(width, 2 * points).view(complex)
         trajectories = [spectra.Trajectory(branch=b, parameters=grid.copy(), values=row)
                         for b, row in enumerate(values)]
-        assert cli._branch_table(trajectories) == _branch_table_oracle(trajectories)
+        assert "".join(cli._branch_table(trajectories)) == _branch_table_oracle(trajectories)
 
 
 class TestTrajectoryCommand:
@@ -390,6 +391,22 @@ class TestEpMapCommand:
                 "print([m for m in heavy if m in sys.modules])\n")
         assert run_fresh(code) == ["[]", "[]", "['epspectra.ep_locator']"]
 
+    def test_branch_matching_loads_no_numpy_ma(self):
+        # a fresh interpreter: the median of a step's jumps does not go
+        # through np.median, whose first call imports numpy.ma
+        code = ("import os, sys\n"
+                "import numpy\n"
+                "before = 'numpy.ma' in sys.modules\n"
+                "from epspectra.cli import main\n"
+                "out = ['--output', os.devnull]\n"
+                "assert main(['spectrum', '-N', '11', '--c', '0.01', "
+                "'--gamma', '0:1.5:20', *out]) == 0\n"
+                "assert main(['trajectory', '-N', '5', '--gamma', '1', "
+                "'--c', '0.0004:0.04:60:log', *out]) == 0\n"
+                "print(before, 'numpy.ma' in sys.modules)\n")
+        before, after = run_fresh(code)[-1].split()
+        assert after == before
+
     def test_json_mirror(self, tmp_path):
         code, text = run_cli(
             tmp_path, "ep-map", "--particles", "2", "--c", "0.01:0.1:2",
@@ -527,6 +544,14 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("numerical failure:")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+    def test_zero_c_with_an_overflowing_power_is_the_zero_c_spectrum(self, tmp_path):
+        # 2 c m^k is an exact zero at c = 0, though m^2000 overflows; the
+        # c = 0.01 job above still exits 2
+        args = ("spectrum", "-N", "11", "--gamma", "0:1:3")
+        code, text = run_cli(tmp_path, *args, "--pert-power", "2000")
+        assert code == 0 and text.count("\n") == 1 + 3 * 12
+        assert text == run_cli(tmp_path, *args, "--pert-power", "2")[1]
 
     def test_diverging_polish_is_one_numerical_failure_line(self, capsys):
         # at N = 110 the reduced polynomial overflows the float Horner
@@ -678,6 +703,23 @@ class TestSizeLimits:
         # the largest dense jobs: N = 40 over 500 gamma points
         assert 41 * 41 * 100 < cli._MAX_MATRIX_ENTRIES
         assert 500 * 41 * 100 < cli._MAX_GRID_VALUES
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_dense_output_memory_is_bounded_by_the_eigenvalues(fmt):
+    # the output is written as it is rendered, so the traced peak stays
+    # within four times the 5000 x 12 complex eigenvalue array (0.92 MiB);
+    # rendering the whole text first peaked at 9.8 MiB (csv), 24.4 MiB (json)
+    argv = ["spectrum", "-N", "11", "--c", "0.00909090909", "--format", fmt,
+            "--output", os.devnull]
+    assert main(argv + ["--gamma", "0:1.5:2"]) == 0  # imports outside the trace
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--gamma", "0:1.5:5000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 5000 * 12 * 16
 
 
 class TestExactSizeLimit:

@@ -361,6 +361,24 @@ class TestRealPTForm:
                     one = HamiltonianFamily(replace(params, **{vary: x}))
                     assert scale == max(1.0, one.max_abs())
 
+    @pytest.mark.parametrize("big,small", [(2000, 2), (2001, 1)])
+    def test_zero_c_is_an_exact_zero_where_m_to_the_k_overflows(self, big, small):
+        # 0 times an infinite m^k would be nan; at c = +-0.0 H has the bits
+        # of a small power of the same parity, signed zeros included
+        values = [0.0, -0.0, 0.7]
+        for N in (4, 11):
+            for c in (0.0, -0.0):
+                params = ModelParams(particles=N, gamma=0.3, v=1.0, c=c, pert_power=big)
+                family, ref = HamiltonianFamily(params), HamiltonianFamily(
+                    replace(params, pert_power=small))
+                assert np.isinf(family.lz_k).any()
+                assert family.stack("gamma", values).tobytes() == ref.stack("gamma", values).tobytes()
+                assert family.scales("gamma", values).tobytes() == ref.scales("gamma", values).tobytes()
+            zeros = [0.0, -0.0]
+            assert family.stack("c", zeros).tobytes() == ref.stack("c", zeros).tobytes()
+            assert family.scales("c", zeros).tobytes() == ref.scales("c", zeros).tobytes()
+            assert not np.isfinite(family.stack("c", [0.01])).all()
+
 
 class TestRotatedHamiltonian:
     def test_k2_expansion(self):

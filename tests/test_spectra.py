@@ -334,6 +334,11 @@ class TestAnalyticC0:
 
 
 class TestSweepAndMatching:
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(float, st.integers(1, 41), elements=st.floats(0.0, 1e300)))
+    def test_median_is_numpys(self, jumps):
+        assert np.float64(spectra._median(jumps)).tobytes() == np.median(jumps).tobytes()
+
     def test_single_point(self):
         out = sweep(ModelParams(particles=3, gamma=0.0, v=1.0, c=0.1), "gamma", [0.7])
         assert out.shape == (1, 4)
