@@ -213,7 +213,6 @@ class HamiltonianFamily:
         # ``spectra.eigenvalues`` reports with the point that produced it
         with np.errstate(over="ignore", invalid="ignore"):
             self.lz_k = self.lz**params.pert_power
-        self._lz_k_overflowed = not np.isfinite(self.lz_k).all()
         # |H| off the diagonal, the floor of every scale
         self._floor = max(1.0, float(np.abs(self.tunneling).max()))
         self._template = self.tunneling
@@ -276,10 +275,10 @@ class HamiltonianFamily:
 
     def _interaction(self, c, n=slice(None)):
         """2 c m^k at indices n, an exact zero where c is zero, though m^k overflowed."""
-        if self._lz_k_overflowed:
-            # 0 inf is nan; a zero c takes only the sign of m^k, which np.sign keeps
-            return np.where(c == 0, 2.0 * c * np.sign(self.lz_k[n]), 2.0 * c * self.lz_k[n])
-        return 2.0 * c * self.lz_k[n]
+        # 0 inf is nan; a zero c takes only the sign of m^k, which np.sign
+        # keeps, so a finite m^k gives the bits of 2 c m^k either way
+        m_k = self.lz_k[n]
+        return np.where(c == 0, 2.0 * c * np.sign(m_k), 2.0 * c * m_k)
 
     def scales(self, vary: str, values) -> np.ndarray:
         """max(1, max|H|) of the complex H at each value of ``vary``.

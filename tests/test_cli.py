@@ -372,12 +372,14 @@ class TestEpMapCommand:
 
     def test_each_command_loads_only_its_modules(self):
         # a fresh interpreter: the package root loads no submodule, spectrum
-        # and trajectory load none of the three modules below, and ep-map
+        # and trajectory load none of the three modules below, nor numpy.ma
+        # (branch matching takes its median without np.median), and ep-map
         # adds ep_locator alone
         code = ("import os, sys\n"
                 "import epspectra\n"
                 "print(sorted(m for m in sys.modules if m.startswith('epspectra.')))\n"
                 "from epspectra.cli import main\n"
+                "assert 'numpy.ma' not in sys.modules\n"
                 "heavy = ('epspectra.acceptance', 'epspectra.ep_locator', "
                 "'epspectra.newton_polygon')\n"
                 "out = ['--output', os.devnull]\n"
@@ -387,25 +389,10 @@ class TestEpMapCommand:
                 "    assert main(['trajectory', '-N', '5', '--gamma', '1', "
                 "'--c', '0.0004:0.04:20:log', '--format', fmt, *out]) == 0\n"
                 "print([m for m in heavy if m in sys.modules])\n"
+                "assert 'numpy.ma' not in sys.modules\n"
                 "assert main(['ep-map', '-N', '3', '--c', '0.1:0.1:1', *out]) == 0\n"
                 "print([m for m in heavy if m in sys.modules])\n")
         assert run_fresh(code) == ["[]", "[]", "['epspectra.ep_locator']"]
-
-    def test_branch_matching_loads_no_numpy_ma(self):
-        # a fresh interpreter: the median of a step's jumps does not go
-        # through np.median, whose first call imports numpy.ma
-        code = ("import os, sys\n"
-                "import numpy\n"
-                "before = 'numpy.ma' in sys.modules\n"
-                "from epspectra.cli import main\n"
-                "out = ['--output', os.devnull]\n"
-                "assert main(['spectrum', '-N', '11', '--c', '0.01', "
-                "'--gamma', '0:1.5:20', *out]) == 0\n"
-                "assert main(['trajectory', '-N', '5', '--gamma', '1', "
-                "'--c', '0.0004:0.04:60:log', *out]) == 0\n"
-                "print(before, 'numpy.ma' in sys.modules)\n")
-        before, after = run_fresh(code)[-1].split()
-        assert after == before
 
     def test_json_mirror(self, tmp_path):
         code, text = run_cli(
