@@ -33,9 +33,9 @@ _MAX_MATRIX_ENTRIES = 1 << 22
 _MAX_GRID_VALUES = 1 << 22
 # charpoly and newton refuse (usage error, before building H) more than
 # _MAX_EXACT_DIM rows, N + 1: the exact polynomial's cost grows steeply
-# with N (charpoly with c symbolic, 2 cores, Python 3.11.7, Fraction
-# backend: about 1.1 s and 82 MiB at N = 127, 7 s and 280 MiB at N = 200,
-# 71 s and 708 MiB at N = 300).
+# with N (charpoly with c symbolic, 2 cores, Python 3.11.7: about 1.1 s
+# and 82 MiB at N = 127, 7 s and 280 MiB at N = 200, 71 s and 708 MiB at
+# N = 300).
 _MAX_EXACT_DIM = 128
 
 

@@ -14,8 +14,8 @@ two forms are easy to make and painful to debug.
 The production route is the O(M^2) determinant continuant on a tridiagonal
 matrix; the model Hamiltonian is tridiagonal in the monomial basis for every
 perturbation power. An ``ExactTridiagonal`` holds such a matrix H as the
-Gaussian integers of D H, with D a common denominator: Python ints,
-whatever the ``Rational`` backend. One core (``_continuant``) takes them.
+Gaussian integers of D H, with D a common denominator: Python ints.
+One core (``_continuant``) takes them.
 Two routes leave it: ``charpoly_of_tridiagonal`` divides by D^k into exact
 ``ParamPoly`` coefficients, and ``monic_floats`` into correctly rounded
 complex floats by one int true division each (the exact-route spectra of
@@ -35,12 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from fractions import Fraction
-
-try:
-    from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as Rational
+from fractions import Fraction as Rational
 
 __all__ = [
     "Rational",
@@ -79,14 +74,11 @@ def rat(value):
         if not _NUMBER.fullmatch(value):
             raise ValueError(f"Invalid literal for Fraction: {value!r}")
         value = value.replace("_", "")
-    if isinstance(value, (str, float)):
-        f = Fraction(value)
-        return Rational(f.numerator) / Rational(f.denominator)
     return Rational(value)
 
 
 def rat_str(q) -> str:
-    """``str(q)`` of a rational, on either backend and for any size.
+    """``str(q)`` of a rational, for any size.
 
     ``fractions.Fraction`` formats its ints by ``str``, which refuses more
     than 4,300 digits by default (``sys.set_int_max_str_digits``); Decimal
@@ -102,8 +94,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is type(_ZERO) else rat(re)
-        self.im = im if type(im) is type(_ZERO) else rat(im)
+        self.re = re if type(re) is Rational else rat(re)
+        self.im = im if type(im) is Rational else rat(im)
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)

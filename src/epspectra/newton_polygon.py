@@ -146,7 +146,7 @@ def lower_hull(points) -> list:
             p
             for p in pts
             if left.k <= p.k <= right.k
-            and Rational(p.a - left.a) * dk == Rational(p.k - left.k) * da
+            and (p.a - left.a) * dk == (p.k - left.k) * da
         )
         segments.append(HullSegment(slope=slope, points=on))
     return segments
@@ -160,7 +160,7 @@ def hull_supports_all_points(points, segments) -> bool:
         da = seg.points[-1].a - p0.a
         for q in points:
             # (q.a - line(q.k)) * dk >= 0 with line through p0 of the segment slope
-            if Rational(q.a - p0.a) * dk < Rational(q.k - p0.k) * da:
+            if (q.a - p0.a) * dk < (q.k - p0.k) * da:
                 return False
     return True
 
@@ -188,10 +188,6 @@ def _log2_modulus(g: GaussianRational) -> int:
     """log2 of max(|Re g|, |Im g|) for g != 0, to within 1."""
     return max(abs(r.numerator).bit_length() - r.denominator.bit_length()
                for r in (g.re, g.im) if r)
-
-
-def _pow2(e: int):
-    return Rational(2**e) if e >= 0 else Rational(1, 2**-e)
 
 
 def solve_leading_coefficients(poly: ParamPoly) -> np.ndarray:
@@ -222,7 +218,7 @@ def solve_leading_coefficients(poly: ParamPoly) -> np.ndarray:
                 "reduced polynomial coefficients span more than the float range")
     coeffs = np.zeros(poly.degree + 1, dtype=complex)
     for e, g in terms.items():
-        coeffs[e] = complex(g.scale(_pow2(s * e + t)) if s or t else g)
+        coeffs[e] = complex(g.scale(Rational(2) ** (s * e + t)) if s or t else g)
     roots = polynomial_roots(coeffs)
     roots = roots[roots != 0]
     if s:

@@ -559,8 +559,8 @@ class TestExitCodes:
 
     def test_charpoly_prints_ints_beyond_the_str_digit_limit(self, capsys):
         # m^1000 gives coefficients of up to ~9,000 digits, beyond the 4,300
-        # that str() of a Fraction's int allows by default; both backends
-        # print every digit, those of str() with the limit lifted
+        # that str() of a Fraction's int allows by default; charpoly prints
+        # every digit, those of str() with the limit lifted
         argv = ["charpoly", "-N", "12", "--gamma", "1", "--pert-power", "1000"]
         assert main(argv) == 0
         captured = capsys.readouterr()

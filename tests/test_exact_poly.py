@@ -72,7 +72,7 @@ class TestRationals:
     def test_rat_grammar_does_not_follow_the_python_version(self, monkeypatch):
         # Fraction's own grammar differs across the supported versions: 3.12
         # allows spaces around "/", 3.10 rejects digit underscores
-        real = exact_poly.Fraction
+        real = exact_poly.Rational
 
         def spaces_around_slash(value):
             return real(re.sub(r"\s*/\s*", "/", value) if isinstance(value, str) else value)
@@ -83,8 +83,26 @@ class TestRationals:
             return real(value)
 
         for fraction in (spaces_around_slash, no_underscores):
-            monkeypatch.setattr(exact_poly, "Fraction", fraction)
+            monkeypatch.setattr(exact_poly, "Rational", fraction)
             self._check_string_edges()
+
+    def test_rational_is_fraction_even_with_gmpy2_installed(self, tmp_path):
+        # a stub gmpy2 first on the path of a fresh interpreter: the exact
+        # layer neither imports it nor takes its mpq
+        (tmp_path / "gmpy2.py").write_text("import fractions\n\n"
+                                           "class mpq(fractions.Fraction):\n    pass\n")
+        script = (
+            "import fractions, sys\n"
+            "from epspectra.exact_poly import Rational, rat\n"
+            "print(Rational is fractions.Fraction, type(rat('1/3')) is fractions.Fraction,\n"
+            "      'gmpy2' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(epspectra.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(tmp_path), src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.split() == ["True", "True", "False"], out.stderr
 
     def test_rat_from_string_and_float(self):
         assert rat("-3/4") == Rational(-3) / 4
