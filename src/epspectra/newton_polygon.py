@@ -141,7 +141,7 @@ def lower_hull(points) -> list:
     for left, right in zip(hull[:-1], hull[1:]):
         dk = right.k - left.k
         da = right.a - left.a
-        slope = Rational(da) / Rational(dk)
+        slope = Rational(da, dk)
         on = tuple(
             p
             for p in pts
